@@ -29,6 +29,24 @@ from repro.utils.assignment import align_labels
 from repro.utils.checks import check_matrix
 
 
+def _aligned_labels(labels: np.ndarray, reference: Sequence[int]) -> np.ndarray:
+    """``labels`` renumbered to best match ``reference`` (see align_labels)."""
+    mapping = align_labels(labels, np.asarray(reference, dtype=int))
+    return np.array([mapping[int(l)] for l in labels], dtype=int)
+
+
+def _fit_surrogate(
+    features: np.ndarray, labels: np.ndarray, like: RandomForestClassifier
+) -> RandomForestClassifier:
+    """A forest with ``like``'s hyper-parameters and seed, fit on the data."""
+    return RandomForestClassifier(
+        n_estimators=like.n_estimators,
+        max_depth=like.max_depth,
+        max_features=like.max_features,
+        random_state=like.random_state,
+    ).fit(features, labels)
+
+
 @dataclass
 class ICNProfile:
     """The fitted output of :class:`ICNProfiler`.
@@ -95,21 +113,17 @@ class ICNProfile:
 
         Used to report results in the paper's cluster numbering by aligning
         to the generator's latent archetypes.  Returns a new profile with a
-        retrained surrogate on the aligned labels.
+        retrained surrogate on the aligned labels, timed as the
+        ``pipeline.align`` stage.  :meth:`ICNProfiler.fit` with
+        ``align_to`` gives the same profile with a single forest fit.
         """
-        mapping = align_labels(self.labels, np.asarray(reference, dtype=int))
-        new_labels = np.array([mapping[int(l)] for l in self.labels], dtype=int)
-        surrogate = RandomForestClassifier(
-            n_estimators=self.surrogate.n_estimators,
-            max_depth=self.surrogate.max_depth,
-            max_features=self.surrogate.max_features,
-            random_state=self.surrogate.random_state,
-        )
-        surrogate.fit(self.features, new_labels)
-        accuracy = surrogate.score(self.features, new_labels)
+        with timed_stage("pipeline.align"):
+            labels = _aligned_labels(self.labels, reference)
+            surrogate = _fit_surrogate(self.features, labels, self.surrogate)
+            accuracy = surrogate.score(self.features, labels)
         return ICNProfile(
             features=self.features,
-            labels=new_labels,
+            labels=labels,
             clustering=self.clustering,
             surrogate=surrogate,
             surrogate_accuracy=accuracy,
@@ -206,13 +220,7 @@ class ICNProfile:
             self.features, self.labels,
             test_fraction=test_fraction, random_state=random_state,
         )
-        heldout = RandomForestClassifier(
-            n_estimators=self.surrogate.n_estimators,
-            max_depth=self.surrogate.max_depth,
-            max_features=self.surrogate.max_features,
-            random_state=self.surrogate.random_state,
-        )
-        heldout.fit(x_train, y_train)
+        heldout = _fit_surrogate(x_train, y_train, self.surrogate)
         return heldout.score(x_test, y_test)
 
     def summary(self) -> str:
@@ -275,6 +283,12 @@ class ICNProfiler:
     ) -> ICNProfile:
         """Run transform -> cluster -> surrogate on a dataset or matrix.
 
+        Times the ``pipeline.rca``, ``pipeline.cluster`` and
+        ``pipeline.surrogate`` stages.  With ``align_to``, the Ward labels
+        are renumbered inside ``pipeline.cluster``, before the one forest
+        fit, so the result equals ``fit(data).aligned_to(align_to)``
+        (same labels, bit-identical forest) at the cost of a single fit.
+
         Args:
             data: a :class:`TrafficDataset`, or a raw N x M totals matrix.
             align_to: optional reference labels (e.g. the generator's
@@ -304,16 +318,17 @@ class ICNProfiler:
                 n_clusters=self.n_clusters, linkage=self.linkage
             )
             labels = clustering.fit_predict(features)
+            if align_to is not None:
+                labels = _aligned_labels(labels, align_to)
         with timed_stage("pipeline.surrogate",
                          n_estimators=self.surrogate_trees):
-            surrogate = RandomForestClassifier(
+            surrogate = _fit_surrogate(features, labels, RandomForestClassifier(
                 n_estimators=self.surrogate_trees,
                 max_depth=self.surrogate_max_depth,
                 random_state=self.random_state,
-            )
-            surrogate.fit(features, labels)
+            ))
             accuracy = surrogate.score(features, labels)
-        profile = ICNProfile(
+        return ICNProfile(
             features=features,
             labels=labels,
             clustering=clustering,
@@ -323,10 +338,6 @@ class ICNProfiler:
             env_types=env_types,
             paris_mask=paris_mask,
         )
-        if align_to is not None:
-            with timed_stage("pipeline.align"):
-                profile = profile.aligned_to(align_to)
-        return profile
 
     def scan_cluster_counts(
         self,

@@ -32,6 +32,89 @@ def _validate_labels(features: np.ndarray, labels) -> Tuple[np.ndarray, np.ndarr
     return x, lab
 
 
+def _distances_for(x: np.ndarray, distances: Optional[np.ndarray]) -> np.ndarray:
+    """The N x N distance matrix of ``x``: computed, or validated if given."""
+    if distances is None:
+        return pairwise_distances(x)
+    dist = np.asarray(distances, dtype=float)
+    n = x.shape[0]
+    if dist.shape != (n, n):
+        raise ValueError(
+            f"distances must be {n} x {n} to match features of shape "
+            f"{x.shape}; got shape {dist.shape}"
+        )
+    return dist
+
+
+def _column_sums(matrix: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
+    """``matrix``'s columns summed by cluster code; for a distance matrix,
+    every sample's summed distance to every cluster (N x k)."""
+    onehot = np.zeros((codes.size, k))
+    onehot[np.arange(codes.size), codes] = 1.0
+    return matrix @ onehot
+
+
+def _block_extremes(
+    dist: np.ndarray, codes: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k x k minimum and maximum of every cluster-by-cluster distance block.
+
+    Entry ``[a, b]`` reduces ``dist`` over rows in cluster ``a`` and
+    columns in cluster ``b``: the off-diagonal minima are single-linkage
+    separations, the diagonal maxima complete-linkage diameters.
+    """
+    to_min = np.empty((codes.size, k))
+    to_max = np.empty((codes.size, k))
+    for b in range(k):
+        columns = dist[:, codes == b]
+        to_min[:, b] = columns.min(axis=1)
+        to_max[:, b] = columns.max(axis=1)
+    block_min = np.empty((k, k))
+    block_max = np.empty((k, k))
+    for a in range(k):
+        rows = codes == a
+        block_min[a] = to_min[rows].min(axis=0)
+        block_max[a] = to_max[rows].max(axis=0)
+    return block_min, block_max
+
+
+def _silhouettes(sums: np.ndarray, counts: np.ndarray,
+                 codes: np.ndarray) -> np.ndarray:
+    """Per-sample silhouettes from :func:`_column_sums` and cluster sizes."""
+    rows = np.arange(codes.size)
+    size = counts[codes]
+    # Within-cluster mean excludes the sample itself.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, codes] / (size - 1.0)
+    means = sums / counts
+    means[rows, codes] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # Singleton clusters get silhouette 0 by convention.
+    scored = (size > 1) & (denom > 0)
+    out = np.zeros(codes.size)
+    out[scored] = (b[scored] - a[scored]) / denom[scored]
+    return out
+
+
+def _dunn(block_min: np.ndarray, block_max: np.ndarray,
+          counts: np.ndarray) -> float:
+    """Dunn index from :func:`_block_extremes` and cluster sizes."""
+    diameters = np.where(counts > 1, np.diag(block_max), 0.0)
+    max_diameter = max(0.0, float(diameters.max()))
+    min_separation = float(block_min[np.triu_indices(counts.size, 1)].min())
+    if max_diameter == 0.0:
+        return np.inf if min_separation > 0 else 0.0
+    return min_separation / max_diameter
+
+
+def _codes(lab: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Labels as 0..k-1 codes (sorted label order) plus cluster sizes."""
+    _, codes = np.unique(lab, return_inverse=True)
+    codes = codes.ravel()
+    return codes, np.bincount(codes).astype(float)
+
+
 def silhouette_samples(
     features: np.ndarray,
     labels,
@@ -46,35 +129,16 @@ def silhouette_samples(
     Args:
         features: N x M matrix.
         labels: N cluster labels.
-        distances: optional precomputed N x N distance matrix (reused by
-            :func:`scan_k` to avoid recomputation per k).
+        distances: optional precomputed N x N distance matrix.
+
+    Raises:
+        ValueError: on fewer than two clusters, mismatched labels, or a
+            ``distances`` matrix that is not N x N.
     """
     x, lab = _validate_labels(features, labels)
-    dist = pairwise_distances(x) if distances is None else np.asarray(distances)
-    unique = np.unique(lab)
-    n = x.shape[0]
-    # Mean distance from every sample to every cluster.
-    mean_to_cluster = np.empty((n, unique.size))
-    counts = np.empty(unique.size)
-    for col, cluster in enumerate(unique):
-        members = lab == cluster
-        counts[col] = members.sum()
-        mean_to_cluster[:, col] = dist[:, members].mean(axis=1)
-    own_col = np.searchsorted(unique, lab)
-    silhouettes = np.zeros(n)
-    for i in range(n):
-        col = own_col[i]
-        size = counts[col]
-        if size <= 1:
-            continue  # singleton cluster: silhouette 0 by convention
-        # Within-cluster mean excludes the sample itself.
-        a = mean_to_cluster[i, col] * size / (size - 1.0)
-        others = np.delete(mean_to_cluster[i], col)
-        b = others.min()
-        denom = max(a, b)
-        if denom > 0:
-            silhouettes[i] = (b - a) / denom
-    return silhouettes
+    dist = _distances_for(x, distances)
+    codes, counts = _codes(lab)
+    return _silhouettes(_column_sums(dist, codes, counts.size), counts, codes)
 
 
 def silhouette_score(
@@ -98,21 +162,9 @@ def dunn_index(
     inter-cluster distance and complete diameter, the classical definition.
     """
     x, lab = _validate_labels(features, labels)
-    dist = pairwise_distances(x) if distances is None else np.asarray(distances)
-    unique = np.unique(lab)
-    members = [np.flatnonzero(lab == cluster) for cluster in unique]
-    max_diameter = 0.0
-    for idx in members:
-        if idx.size > 1:
-            max_diameter = max(max_diameter, float(dist[np.ix_(idx, idx)].max()))
-    min_separation = np.inf
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            block = dist[np.ix_(members[i], members[j])]
-            min_separation = min(min_separation, float(block.min()))
-    if max_diameter == 0.0:
-        return np.inf if min_separation > 0 else 0.0
-    return min_separation / max_diameter
+    dist = _distances_for(x, distances)
+    codes, counts = _codes(lab)
+    return _dunn(*_block_extremes(dist, codes, counts.size), counts)
 
 
 def davies_bouldin_index(features: np.ndarray, labels) -> float:
@@ -263,17 +315,40 @@ def scan_k(
 ) -> KScanResult:
     """Evaluate validity indices for flat cuts of one dendrogram.
 
-    Computes the pairwise distance matrix once and reuses it across all
-    cuts, making the Fig. 2 scan a single O(N^2) pass plus cheap cuts.
+    Cuts of one dendrogram nest: every cluster of a coarse cut is a union
+    of clusters of the finest cut.  The scan therefore reduces the
+    distance matrix once, at the finest k, to per-cluster distance sums
+    and block minima/maxima, and derives every coarser k by merging those
+    columns and blocks — one O(N^2) pass however many ks are scanned.
+    Dunn values are exactly :func:`dunn_index`'s; silhouettes agree with
+    :func:`silhouette_score` to floating-point summation order.
     """
     x = check_matrix(features, "features")
-    distances = pairwise_distances(x)
     result = KScanResult(ks=[], silhouette=[], dunn=[], davies_bouldin=[])
+    ks = [int(k) for k in ks]
+    if not ks:
+        return result
+    distances = pairwise_distances(x)
+    fine, fine_counts = _codes(dendrogram.cut(max(ks)))
+    n_fine = fine_counts.size
+    fine_sums = _column_sums(distances, fine, n_fine)
+    fine_min, fine_max = _block_extremes(distances, fine, n_fine)
+    first_of_fine = np.unique(fine, return_index=True)[1]
     for k in ks:
-        labels = dendrogram.cut(int(k))
-        result.ks.append(int(k))
-        result.silhouette.append(silhouette_score(x, labels, distances))
-        result.dunn.append(dunn_index(x, labels, distances))
+        _, lab = _validate_labels(x, dendrogram.cut(k))
+        codes, counts = _codes(lab)
+        merge = codes[first_of_fine]  # coarse cluster of each fine cluster
+        block_min = np.full((counts.size, counts.size), np.inf)
+        block_max = np.full((counts.size, counts.size), -np.inf)
+        pairs = (merge[:, None], merge[None, :])
+        np.minimum.at(block_min, pairs, fine_min)
+        np.maximum.at(block_max, pairs, fine_max)
+        result.ks.append(k)
+        result.silhouette.append(
+            float(_silhouettes(_column_sums(fine_sums, merge, counts.size),
+                               counts, codes).mean())
+        )
+        result.dunn.append(_dunn(block_min, block_max, counts))
         if include_davies_bouldin:
-            result.davies_bouldin.append(davies_bouldin_index(x, labels))
+            result.davies_bouldin.append(davies_bouldin_index(x, lab))
     return result

@@ -1,93 +1,140 @@
 """TreeSHAP: exact Shapley values for tree ensembles in polynomial time.
 
-Implements the path-dependent TreeSHAP algorithm of Lundberg et al.
-("From local explanations to global understanding with explainable AI for
-trees", Nature MI 2020) for the from-scratch CART trees and random forest
-of ``repro.ml``.  The algorithm tracks, along each root-to-leaf path, the
-proportion of feature-coalition subsets flowing hot (following x) and cold
-(marginalized by training-sample proportions), yielding the Shapley values
-of the tree's path-dependent conditional expectation — the same value
-function exposed by
-:func:`repro.explain.shapley.tree_conditional_expectation`, against which
-this implementation is verified.
+Computes the path-dependent TreeSHAP values of Lundberg et al. ("From
+local explanations to global understanding with explainable AI for
+trees", Nature MI 2020) — the Shapley values of each tree's
+path-dependent conditional expectation, the value function of
+:func:`repro.explain.shapley.tree_conditional_expectation` — per leaf
+instead of by the paper's per-row recursion (its Algorithm 2), as in
+GPUTreeShap (Mitchell, Frank & Holmes, PeerJ CS 2022) and Fast TreeSHAP
+(Yang, arXiv:2109.09847).  Each leaf's path is compiled once into its
+unique features ``U``, each with a zero fraction ``z_j`` (the product of
+the cover ratios of the path's splits on ``j``) and the interval
+``(lo_j, hi_j]`` those splits allow.  An instance's one fraction ``o_j``
+is 1 when ``x_j`` lies in the interval, else 0, and the leaf's output
+``v`` adds to feature ``i``::
 
-Multiclass trees are handled in a single pass: leaf contributions are the
-full class-probability vectors, so one traversal attributes all classes.
+    v * (o_i - z_i) * sum_s w_s [t^s] prod_{j != i} (z_j + t o_j),
+    w_s = s! (|U| - s - 1)! / |U|!
+
+The product is built once per (row, leaf) and each factor divided back
+out: array arithmetic over rows x leaves x path slots, all classes at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from math import factorial
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier, TreeStructure
+from repro.ml.tree import LEAF, DecisionTreeClassifier, TreeStructure
 from repro.utils.checks import check_matrix
 
-
-class _Path:
-    """The unique-feature path state of the TreeSHAP recursion."""
-
-    __slots__ = ("feature", "zero", "one", "weight")
-
-    def __init__(self, capacity: int) -> None:
-        self.feature = np.empty(capacity, dtype=np.int64)
-        self.zero = np.empty(capacity)
-        self.one = np.empty(capacity)
-        self.weight = np.empty(capacity)
-
-    def copy_from(self, other: "_Path", length: int) -> None:
-        self.feature[:length] = other.feature[:length]
-        self.zero[:length] = other.zero[:length]
-        self.one[:length] = other.one[:length]
-        self.weight[:length] = other.weight[:length]
+#: Upper bound on rows x leaves x path slots held in memory per chunk.
+_CHUNK_ELEMENTS = 1 << 20
 
 
-def _extend(path: _Path, depth: int, pz: float, po: float, pi: int) -> None:
-    """Append a path element and update subset weights (EXTEND)."""
-    path.feature[depth] = pi
-    path.zero[depth] = pz
-    path.one[depth] = po
-    path.weight[depth] = 1.0 if depth == 0 else 0.0
-    for i in range(depth - 1, -1, -1):
-        path.weight[i + 1] += po * path.weight[i] * (i + 1) / (depth + 1)
-        path.weight[i] = pz * path.weight[i] * (depth - i) / (depth + 1)
+@dataclass(frozen=True)
+class _LeafPaths:
+    """Every leaf's compiled path as (leaves, slots) arrays.
+
+    A padded slot has zero fraction 1, the empty interval ``(inf, inf]``
+    and no weight, so its factor ``z + t * o`` is 1.  ``order`` lists the
+    real slots (flat indices) by feature, ``bounds[f]:bounds[f + 1]`` of
+    it being feature ``f``'s; ``values`` are their leaves' outputs.
+    """
+
+    feature: np.ndarray
+    zero: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    weight: np.ndarray  # w_s for s = slot index
+    order: np.ndarray
+    bounds: np.ndarray
+    values: np.ndarray
 
 
-def _unwind(path: _Path, depth: int, index: int) -> None:
-    """Remove path element ``index``, restoring pre-extend weights (UNWIND)."""
-    one = path.one[index]
-    zero = path.zero[index]
-    next_one = path.weight[depth]
-    for i in range(depth - 1, -1, -1):
-        if one != 0:
-            tmp = path.weight[i]
-            path.weight[i] = next_one * (depth + 1) / ((i + 1) * one)
-            next_one = tmp - path.weight[i] * zero * (depth - i) / (depth + 1)
-        else:
-            path.weight[i] = path.weight[i] * (depth + 1) / (zero * (depth - i))
-    for i in range(index, depth):
-        path.feature[i] = path.feature[i + 1]
-        path.zero[i] = path.zero[i + 1]
-        path.one[i] = path.one[i + 1]
+def _compile_paths(
+    trees: Sequence[Tuple[TreeStructure, np.ndarray]],
+    n_classes: int,
+    n_features: int,
+) -> _LeafPaths:
+    """Compile every leaf of ``(tree, class columns)`` pairs into arrays."""
+    leaves = []  # (output in the target class space, {feature: (z, lo, hi)})
+    for tree, cols in trees:
+        stack = [(0, {})]
+        while stack:
+            node, conditions = stack.pop()
+            if tree.children_left[node] == LEAF:
+                value = np.zeros(n_classes)
+                value[cols] = tree.value[node]
+                leaves.append((value, conditions))
+                continue
+            feature, threshold = int(tree.feature[node]), float(tree.threshold[node])
+            zero, lo, hi = conditions.get(feature, (1.0, -np.inf, np.inf))
+            for child, interval in (
+                (tree.children_left[node], (lo, min(hi, threshold))),
+                (tree.children_right[node], (max(lo, threshold), hi)),
+            ):
+                ratio = tree.n_node_samples[child] / float(tree.n_node_samples[node])
+                stack.append((child, {**conditions,
+                                      feature: (ratio * zero, *interval)}))
+    sizes = np.array([len(conditions) for _, conditions in leaves])
+    shape = (len(leaves), max(1, int(sizes.max())))
+    feature = np.zeros(shape, dtype=np.int64)
+    zero, weight = np.ones(shape), np.zeros(shape)
+    lower, upper = np.full(shape, np.inf), np.full(shape, np.inf)
+    for row, (_, conditions) in enumerate(leaves):
+        size = len(conditions)
+        for slot, (feat, (z, lo, hi)) in enumerate(conditions.items()):
+            feature[row, slot], zero[row, slot] = feat, z
+            lower[row, slot], upper[row, slot] = lo, hi
+            weight[row, slot] = (factorial(slot) * factorial(size - slot - 1)
+                                 / factorial(size))
+    real = np.flatnonzero(np.arange(shape[1]) < sizes[:, None])
+    order = real[np.argsort(feature.ravel()[real], kind="stable")]
+    values = np.array([value for value, _ in leaves])
+    return _LeafPaths(
+        feature, zero, lower, upper, weight, order,
+        bounds=np.searchsorted(feature.ravel()[order], np.arange(n_features + 1)),
+        values=values[order // shape[1]],
+    )
 
 
-def _unwound_sum(path: _Path, depth: int, index: int) -> float:
-    """Sum of weights if element ``index`` were unwound (no mutation)."""
-    one = path.one[index]
-    zero = path.zero[index]
-    next_one = path.weight[depth]
-    total = 0.0
-    if one != 0:
-        for i in range(depth - 1, -1, -1):
-            tmp = next_one * (depth + 1) / ((i + 1) * one)
-            total += tmp
-            next_one = path.weight[i] - tmp * zero * (depth - i) / (depth + 1)
-    else:
-        for i in range(depth - 1, -1, -1):
-            total += path.weight[i] * (depth + 1) / (zero * (depth - i))
-    return total
+def _shap(paths: _LeafPaths, x: np.ndarray) -> np.ndarray:
+    """Summed leaf contributions, shape ``(rows, features, classes)``."""
+    n_leaves, n_slots = paths.feature.shape
+    z, w, bounds = paths.zero, paths.weight, paths.bounds
+    out = np.zeros((x.shape[0], bounds.size - 1, paths.values.shape[1]))
+    chunk = max(1, _CHUNK_ELEMENTS // (n_leaves * (n_slots + 1)))
+    for start in range(0, x.shape[0], chunk):
+        xf = x[start:start + chunk][:, paths.feature]
+        one = ((xf > paths.lower) & (xf <= paths.upper)).astype(float)
+        # Coefficients of prod_j (z_j + t * o_j), lowest degree first.
+        poly = np.zeros(one.shape[:2] + (n_slots + 1,))
+        poly[..., 0] = 1.0
+        for j in range(n_slots):
+            poly[..., 1:j + 2] = (poly[..., 1:j + 2] * z[:, j, None]
+                                  + poly[..., :j + 1] * one[..., j, None])
+            poly[..., 0] *= z[:, j]
+        # Divide factor i back out and weight the quotient's coefficients.
+        # o_i = 0: the factor is the constant z_i.
+        cold = np.einsum("rls,ls->rl", poly[..., :n_slots], w)[..., None] / z
+        # o_i = 1: synthetic division by (z_i + t), from the top degree down.
+        quotient = np.repeat(poly[..., n_slots, None], n_slots, axis=2)
+        hot = w[:, n_slots - 1, None] * quotient
+        for s in range(n_slots - 1, 0, -1):
+            quotient = poly[..., s, None] - z * quotient
+            hot += w[:, s - 1, None] * quotient
+        contrib = ((one - z) * np.where(one > 0, hot, cold)).reshape(
+            one.shape[0], -1)[:, paths.order]
+        for f in np.flatnonzero(np.diff(bounds)):
+            a, b = bounds[f], bounds[f + 1]
+            out[start:start + chunk, f] = contrib[:, a:b] @ paths.values[a:b]
+    return out
 
 
 def tree_shap_values(
@@ -106,69 +153,22 @@ def tree_shap_values(
     """
     x = np.asarray(x, dtype=float).ravel()
     n_classes = tree.value.shape[1]
-    phi = np.zeros((x.size, n_classes))
-
-    max_depth = tree.max_depth() + 2
-    paths = [_Path(max_depth + 1) for _ in range(max_depth + 1)]
-
-    def recurse(
-        node: int, depth: int, level: int, pz: float, po: float, pi: int
-    ) -> None:
-        path = paths[level]
-        if level > 0:
-            path.copy_from(paths[level - 1], depth)
-        _extend(path, depth, pz, po, pi)
-        if tree.is_leaf(node):
-            leaf_value = tree.value[node]
-            for i in range(1, depth + 1):
-                w = _unwound_sum(path, depth, i)
-                feat = int(path.feature[i])
-                phi[feat] += w * (path.one[i] - path.zero[i]) * leaf_value
-            return
-        feature = int(tree.feature[node])
-        left = int(tree.children_left[node])
-        right = int(tree.children_right[node])
-        if x[feature] <= tree.threshold[node]:
-            hot, cold = left, right
-        else:
-            hot, cold = right, left
-        node_weight = float(tree.n_node_samples[node])
-        hot_zero = tree.n_node_samples[hot] / node_weight
-        cold_zero = tree.n_node_samples[cold] / node_weight
-        incoming_zero = 1.0
-        incoming_one = 1.0
-        new_depth = depth
-        found = -1
-        for idx in range(depth + 1):
-            if path.feature[idx] == feature:
-                found = idx
-                break
-        if found >= 0:
-            incoming_zero = float(path.zero[found])
-            incoming_one = float(path.one[found])
-            _unwind(path, depth, found)
-            new_depth = depth - 1
-        recurse(hot, new_depth + 1, level + 1,
-                hot_zero * incoming_zero, incoming_one, feature)
-        recurse(cold, new_depth + 1, level + 1,
-                cold_zero * incoming_zero, 0.0, feature)
-
-    recurse(0, 0, 0, 1.0, 1.0, -1)
-
-    base = _expected_value(tree)
-    return phi, base
+    paths = _compile_paths([(tree, np.arange(n_classes))], n_classes, x.size)
+    return _shap(paths, x[None, :])[0], _expected_value(tree)
 
 
 def _expected_value(tree: TreeStructure) -> np.ndarray:
     """Training-weighted expected output vector of a tree."""
-    root_weight = float(tree.n_node_samples[0])
-    leaves = np.flatnonzero(tree.children_left == -1)
-    weights = tree.n_node_samples[leaves] / root_weight
+    leaves = np.flatnonzero(tree.children_left == LEAF)
+    weights = tree.n_node_samples[leaves] / float(tree.n_node_samples[0])
     return weights @ tree.value[leaves]
 
 
 class TreeExplainer:
     """SHAP explainer for the library's tree and forest classifiers.
+
+    Every leaf path of the model is compiled once, at construction; each
+    :meth:`shap_values` call is then vectorized over rows and leaves.
 
     >>> explainer = TreeExplainer(forest)          # doctest: +SKIP
     >>> phi = explainer.shap_values(features)      # (n, M, n_classes)
@@ -193,6 +193,11 @@ class TreeExplainer:
         self.model = model
         self.classes_ = np.asarray(model.classes_)
         self.n_features_ = model.n_features_
+        self._paths = _compile_paths(
+            [(tree_model.tree_, np.searchsorted(self.classes_, tree_model.classes_))
+             for tree_model in self._trees],
+            self.classes_.size, self.n_features_,
+        )
 
     @property
     def expected_value(self) -> np.ndarray:
@@ -216,14 +221,7 @@ class TreeExplainer:
                 f"x has {x.shape[1]} features, the model was fitted on "
                 f"{self.n_features_}"
             )
-        out = np.zeros((x.shape[0], x.shape[1], self.classes_.size))
-        for tree_model in self._trees:
-            cols = np.searchsorted(self.classes_, tree_model.classes_)
-            tree = tree_model.tree_
-            for row in range(x.shape[0]):
-                phi, _ = tree_shap_values(tree, x[row])
-                out[row][:, cols] += phi
-        return out / len(self._trees)
+        return _shap(self._paths, x) / len(self._trees)
 
     def shap_values_for_class(self, x: np.ndarray, class_label) -> np.ndarray:
         """SHAP values for a single output class, shape (n_samples, M)."""

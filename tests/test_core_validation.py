@@ -1,9 +1,13 @@
 """Tests for the cluster validity indices (silhouette, Dunn, DB)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cluster import AgglomerativeClustering, linkage, Dendrogram
+from repro.core.cluster import Dendrogram, linkage, pairwise_distances
 from repro.core.validation import (
     davies_bouldin_index,
     dunn_index,
@@ -169,3 +173,115 @@ class TestGapStatistic:
         dendrogram = Dendrogram(linkage(x, "ward"))
         with pytest.raises(ValueError, match="n_references"):
             gap_statistic(x, dendrogram, ks=[2], n_references=0)
+
+
+def _brute_silhouettes(points, labels):
+    """Rousseeuw's definition, pure Python, O(N^2)."""
+    def dist(i, j):
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(points[i], points[j])))
+
+    out = []
+    for i, own in enumerate(labels):
+        mates = [j for j, lab in enumerate(labels) if lab == own and j != i]
+        if not mates:
+            out.append(0.0)
+            continue
+        a = sum(dist(i, j) for j in mates) / len(mates)
+        b = min(
+            sum(dist(i, j) for j, lab in enumerate(labels) if lab == other)
+            / sum(1 for lab in labels if lab == other)
+            for other in set(labels) - {own}
+        )
+        out.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
+    return out
+
+
+def _brute_dunn(points, labels):
+    """Min single-linkage separation over max complete diameter."""
+    def dist(i, j):
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(points[i], points[j])))
+
+    n = len(labels)
+    separation = min(dist(i, j) for i in range(n) for j in range(n)
+                     if labels[i] != labels[j])
+    diameter = max(dist(i, j) for i in range(n) for j in range(n)
+                   if labels[i] == labels[j])
+    if diameter == 0.0:
+        return math.inf if separation > 0 else 0.0
+    return separation / diameter
+
+
+class TestBruteForceOracle:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(3, 25),
+           n_labels=st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_indices_match_brute_force(self, seed, n, n_labels):
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n, 3))
+        labels = gen.integers(0, n_labels, size=n)
+        labels[:2] = [0, 1]  # at least two clusters
+        np.testing.assert_allclose(
+            silhouette_samples(x, labels),
+            _brute_silhouettes(x.tolist(), labels.tolist()),
+            rtol=0, atol=1e-12,
+        )
+        assert dunn_index(x, labels) == pytest.approx(
+            _brute_dunn(x.tolist(), labels.tolist()), rel=1e-12)
+
+
+class TestScanKMatchesPerK:
+    @staticmethod
+    def _check(x, ks):
+        dendrogram = Dendrogram(linkage(x, "ward"))
+        result = scan_k(x, dendrogram, ks=ks)
+        assert result.ks == list(ks)
+        for k, sil, dunn in zip(result.ks, result.silhouette, result.dunn):
+            labels = dendrogram.cut(k)
+            assert dunn == dunn_index(x, labels), k
+            assert abs(sil - silhouette_score(x, labels)) <= 1e-12, k
+        return dendrogram
+
+    def test_non_contiguous_ks(self, rng):
+        x = rng.normal(size=(60, 4))
+        self._check(x, [9, 2, 5, 13])
+
+    def test_k_two_only(self, rng):
+        self._check(rng.normal(size=(25, 3)), [2])
+
+    def test_singleton_clusters(self, rng):
+        # Far outliers stay singletons down to small k.
+        x = np.vstack([rng.normal(size=(30, 2)), [[40.0, 40.0], [-40.0, 35.0]]])
+        dendrogram = self._check(x, [2, 3, 4, 8])
+        assert np.min(np.bincount(dendrogram.cut(3))) == 1
+
+    def test_every_k_up_to_n(self, rng):
+        x = rng.normal(size=(12, 2))
+        self._check(x, range(2, 12))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+           ks=st.lists(st.integers(2, 40), min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_random_scans(self, seed, n, ks):
+        x = np.random.default_rng(seed).normal(size=(n, 3))
+        self._check(x, [k for k in ks if k < n] or [2])
+
+    def test_k_one_rejected(self, rng):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(ValueError, match="two clusters"):
+            scan_k(x, Dendrogram(linkage(x, "ward")), ks=[1, 3])
+
+
+class TestPrecomputedDistances:
+    @pytest.mark.parametrize("index", [silhouette_samples, silhouette_score,
+                                       dunn_index])
+    def test_wrong_shape_rejected(self, blobs, index):
+        x, labels = blobs
+        distances = pairwise_distances(x)
+        for bad in (distances[:-1], distances[:, :-1], distances[0],
+                    np.zeros((x.shape[0] + 1, x.shape[0] + 1))):
+            with pytest.raises(ValueError) as info:
+                index(x, labels, distances=bad)
+            message = str(info.value)
+            assert f"{x.shape[0]} x {x.shape[0]}" in message
+            assert str(bad.shape) in message

@@ -1,12 +1,21 @@
-"""Tests for the TreeSHAP path algorithm against exact enumeration."""
+"""Tests for TreeSHAP against exact enumeration and the recursive oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explain.shapley import exact_tree_shapley
 from repro.explain.treeshap import TreeExplainer, tree_shap_values
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
+from tests.treeshap_oracle import (
+    recursive_shap_values,
+    recursive_tree_shap_values,
+)
+
+#: Per-leaf and recursive TreeSHAP sum the same terms in another order.
+ORACLE_TOL = 1e-12
 
 
 @pytest.fixture()
@@ -133,3 +142,114 @@ class TestTreeExplainer:
         explainer = TreeExplainer(forest)
         with pytest.raises(ValueError, match="features"):
             explainer.shap_values(np.ones((1, 9)))
+
+
+def _trees_of(model):
+    return model.trees_ if isinstance(model, RandomForestClassifier) else [model]
+
+
+def _assert_matches_oracle(model, x):
+    explainer = TreeExplainer(model)
+    expected = recursive_shap_values(_trees_of(model), explainer.classes_, x)
+    np.testing.assert_allclose(explainer.shap_values(x), expected,
+                               rtol=0, atol=ORACLE_TOL)
+
+
+class TestRecursiveOracle:
+    """The per-leaf evaluation against the recursive Algorithm 2."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(10, 120),
+           n_features=st.integers(1, 6),
+           n_labels=st.integers(1, 5),
+           max_depth=st.integers(1, 8),
+           levels=st.integers(2, 12),
+           forest=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_models(self, seed, n_rows, n_features, n_labels,
+                           max_depth, levels, forest):
+        gen = np.random.default_rng(seed)
+        # Few distinct values per feature: ties, and trees that split the
+        # same feature repeatedly on one path.
+        x = gen.integers(0, levels, size=(n_rows, n_features)) / levels
+        y = gen.integers(0, n_labels, size=n_rows)
+        if forest:
+            model = RandomForestClassifier(n_estimators=4, max_depth=max_depth,
+                                           random_state=seed)
+        else:
+            model = DecisionTreeClassifier(max_depth=max_depth,
+                                           random_state=seed)
+        model.fit(x, y)
+        queries = np.vstack([x[:6], gen.uniform(-0.1, 1.1, (3, n_features))])
+        _assert_matches_oracle(model, queries)
+
+    @pytest.mark.parametrize("max_depth", range(1, 9))
+    def test_depths(self, rng, max_depth):
+        x = rng.uniform(-1, 1, size=(400, 6))
+        y = (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(int) + (x[:, 3] > 0.5)
+        model = DecisionTreeClassifier(max_depth=max_depth).fit(x, y)
+        assert model.tree_.max_depth() == max_depth
+        _assert_matches_oracle(model, x[:10])
+
+    def test_repeated_split_features(self, rng):
+        x = rng.uniform(0, 1, size=(500, 2))
+        y = ((x[:, 0] > 0.2) & (x[:, 0] < 0.4)).astype(int) + (x[:, 0] > 0.7)
+        model = DecisionTreeClassifier(max_depth=8).fit(x, y)
+        tree = model.tree_
+        # Some root-to-leaf path splits feature 0 at least three times.
+        uses = {0: 0}
+        for node in range(tree.n_nodes):
+            if tree.is_leaf(node):
+                continue
+            for child in (tree.children_left[node], tree.children_right[node]):
+                uses[child] = uses[node] + int(tree.feature[node] == 0)
+        assert max(uses.values()) >= 3
+        _assert_matches_oracle(model, np.vstack([x[:10], [[0.3, 0.5]]]))
+
+    def test_single_leaf_trees(self, rng):
+        x = rng.normal(size=(30, 3))
+        model = DecisionTreeClassifier().fit(x, np.full(30, 4))
+        assert model.tree_.n_nodes == 1
+        _assert_matches_oracle(model, x[:4])
+        forest = RandomForestClassifier(n_estimators=3, random_state=0)
+        forest.fit(x, np.full(30, 4))
+        _assert_matches_oracle(forest, x[:4])
+        assert np.all(TreeExplainer(forest).shap_values(x[:4]) == 0.0)
+
+    def test_bootstrap_trees_missing_a_class(self, rng):
+        x = rng.uniform(-1, 1, size=(60, 4))
+        y = (x[:, 0] > 0).astype(int)
+        y[:2] = 2  # rare class: most bootstrap samples miss it
+        forest = RandomForestClassifier(n_estimators=20, max_depth=5,
+                                        random_state=3).fit(x, y)
+        assert any(tree.classes_.size < forest.classes_.size
+                   for tree in forest.trees_)
+        _assert_matches_oracle(forest, x[:10])
+
+    def test_tree_shap_values_wrapper(self, fitted_tree):
+        tree_model, x = fitted_tree
+        for row in range(4):
+            phi, base = tree_shap_values(tree_model.tree_, x[row])
+            expected_phi, expected_base = recursive_tree_shap_values(
+                tree_model.tree_, x[row])
+            np.testing.assert_allclose(phi, expected_phi, rtol=0,
+                                       atol=ORACLE_TOL)
+            np.testing.assert_array_equal(base, expected_base)
+
+    def test_rows_span_several_chunks(self, fitted_forest, monkeypatch):
+        import repro.explain.treeshap as treeshap
+
+        forest, x = fitted_forest
+        whole = TreeExplainer(forest).shap_values(x[:30])
+        monkeypatch.setattr(treeshap, "_CHUNK_ELEMENTS", 1)
+        np.testing.assert_allclose(
+            TreeExplainer(forest).shap_values(x[:30]), whole,
+            rtol=0, atol=ORACLE_TOL)
+
+    def test_paper_scale_forest(self, full_profile):
+        # Two antennas per cluster of the 100-tree, depth-6 surrogate.
+        rows = np.concatenate([np.flatnonzero(full_profile.labels == c)[:2]
+                               for c in np.unique(full_profile.labels)])
+        assert rows.size >= 18
+        _assert_matches_oracle(full_profile.surrogate,
+                               full_profile.features[rows])

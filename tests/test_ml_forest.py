@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.forest import RandomForestClassifier
 
@@ -95,6 +97,30 @@ class TestPredict:
         forest = RandomForestClassifier(n_estimators=25, random_state=0).fit(x, y)
         assert forest.score(x, y) > 0.95
         assert forest.predict_proba(x).shape == (400, 4)
+
+
+class TestScore:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_labels=st.integers(1, 5),
+           max_depth=st.integers(1, 6),
+           n_estimators=st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_compiled_score_equals_object_predict(self, seed, n_labels,
+                                                  max_depth, n_estimators):
+        gen = np.random.default_rng(seed)
+        # Coarse values make vote ties, where the two paths could diverge.
+        x = gen.integers(0, 4, size=(80, 3)) / 4
+        y = gen.integers(0, n_labels, size=80)
+        forest = RandomForestClassifier(n_estimators=n_estimators,
+                                        max_depth=max_depth,
+                                        random_state=seed).fit(x[:60], y[:60])
+        for rows in (slice(0, 60), slice(60, 80)):
+            expected = float(np.mean(forest.predict(x[rows]) == y[rows]))
+            assert forest.score(x[rows], y[rows]) == expected
+
+    def test_unfitted_raises(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            RandomForestClassifier().score(np.ones((1, 2)), [0])
 
 
 class TestValidation:
