@@ -87,16 +87,16 @@ def main():
     thread.start()
     host, port = server.server_address[:2]
     try:
-        http = HttpServeClient(f"http://{host}:{port}")
-        print(f"  healthz  -> {http.healthz()}")
-        answer = http.classify(frozen.features[:3])
-        print(f"  classify -> labels {answer['labels']} "
-              f"(version {answer['version']})")
-        answer = http.classify_volumes(np.asarray(dataset.totals[:3]))
-        print(f"  volumes  -> labels {answer['labels']}")
-        clusters = http.clusters()
-        print(f"  clusters -> {clusters['n_clusters']} clusters over "
-              f"{clusters['n_antennas']} antennas")
+        with HttpServeClient(f"http://{host}:{port}") as http:
+            print(f"  healthz  -> {http.healthz()}")
+            answer = http.classify(frozen.features[:3])
+            print(f"  classify -> labels {answer['labels']} "
+                  f"(version {answer['version']})")
+            answer = http.classify_volumes(np.asarray(dataset.totals[:3]))
+            print(f"  volumes  -> labels {answer['labels']}")
+            clusters = http.clusters()
+            print(f"  clusters -> {clusters['n_clusters']} clusters over "
+                  f"{clusters['n_antennas']} antennas")
     finally:
         server.shutdown()
         server.server_close()

@@ -41,7 +41,18 @@ onto the caller's trace (see :func:`repro.obs.trace.extract`) — a
 client-side trace and the server-side handler/vote spans assemble into
 one tree in the Chrome export.
 
-Error mapping: malformed input -> 400; no profile loaded -> 503;
+Transport: status line, headers and body go through a buffered
+``wfile`` flushed once per response, on a socket with ``TCP_NODELAY``
+set, so a response that fits the buffer leaves in one send and none
+waits on the client's delayed ACK on a kept-alive connection.  Each
+connection's socket operations time out after :data:`READ_TIMEOUT_S`:
+an idle keep-alive connection is then closed, and a request body that
+stops short of its ``Content-Length`` is answered 408.  Any reply that leaves
+a declared body unread carries ``Connection: close``, so unread bytes
+are never parsed as the next request.
+
+Error mapping: malformed input -> 400; body not received in time -> 408;
+body over :data:`MAX_BODY_BYTES` -> 413; no profile loaded -> 503;
 admission shed -> 429 with a ``Retry-After`` header; unknown path ->
 404.  Anything unexpected inside a handler -> 500 with a **structured
 JSON body** (``error``/``error_type``/``request_id``/``trace_id``) —
@@ -55,9 +66,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import socket
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -73,6 +85,9 @@ from repro.serve.service import ProfileService
 
 #: Largest request body accepted, in bytes (guards the JSON parser).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a connection's socket may block on one read or write: bounds
+#: how long an idle keep-alive connection or a short body pins a thread.
+READ_TIMEOUT_S = 10.0
 
 _log = get_logger("repro.serve.http")
 _request_ids = itertools.count(1)
@@ -83,10 +98,27 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Status line, headers and body collect in the write buffer and leave
+    # in one send; with Nagle off nothing waits on the peer's delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    #: Whether this request declared a body no route has read yet.
+    _body_unread = False
 
     @property
     def service(self) -> ProfileService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        # Read at connection time so the module constant stays tunable.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def handle_expect_100(self) -> bool:
+        # The client holds its body back until this interim answer.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # ------------------------------------------------------------------
     # Responses
@@ -104,8 +136,12 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self._body_unread:
+            # Unread body bytes would be parsed as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _error(self, status: int, message: str,
                headers: Optional[dict] = None) -> None:
@@ -130,6 +166,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         is an operational dead end.
         """
         request_id = f"req-{next(_request_ids):08x}"
+        self._body_unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         # A caller that propagates trace context (HttpServeClient does,
         # any W3C-instrumented client will) parents this request's span
         # tree onto its own trace instead of rooting a fresh one.
@@ -290,9 +330,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         if self.path != "/classify":
             self._error(404, f"unknown path {self.path!r}")
             return
-        payload, failure = self._read_json()
-        if failure is not None or payload is None:
-            self._error(400, failure or "empty request body")
+        payload = self._read_json()
+        if payload is None:
             return
         vectors = payload.get("vectors")
         volumes = payload.get("volumes")
@@ -312,7 +351,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._error(
                 429, str(exc), {"Retry-After": f"{exc.retry_after:.3f}"}
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             self._error(400, str(exc))
         except RuntimeError as exc:
             self._error(503, str(exc))
@@ -327,23 +366,42 @@ class ServeHandler(BaseHTTPRequestHandler):
                 },
             )
 
-    def _read_json(self) -> Tuple[Optional[dict], Optional[str]]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            return None, "invalid Content-Length"
-        if length <= 0:
-            return None, "empty request body"
+    def _read_json(self) -> Optional[dict]:
+        """The request body as a JSON object, or None once an error is sent."""
+        if "Transfer-Encoding" in self.headers:
+            self._error(411, "request body needs a Content-Length")
+            return None
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._error(400, "invalid Content-Length")
+            return None
+        length = int(declared)
+        if length == 0:
+            self._error(400, "empty request body")
+            return None
         if length > MAX_BODY_BYTES:
-            return None, f"request body exceeds {MAX_BODY_BYTES} bytes"
-        raw = self.rfile.read(length)
+            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            return None
+        try:
+            raw = self.rfile.read(length)
+        except socket.timeout:
+            self._error(
+                408, f"request body not received within {READ_TIMEOUT_S} s"
+            )
+            return None
+        self._body_unread = False
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None, "request body is not valid JSON"
+        except (ValueError, RecursionError):
+            # ValueError covers undecodable bytes, malformed JSON and
+            # integer literals past Python's int-string digit limit;
+            # RecursionError, arrays nested past the parser's depth.
+            self._error(400, "request body is not valid JSON")
+            return None
         if not isinstance(payload, dict):
-            return None, "request body must be a JSON object"
-        return payload, None
+            self._error(400, "request body must be a JSON object")
+            return None
+        return payload
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):
