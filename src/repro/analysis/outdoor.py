@@ -61,7 +61,7 @@ def classify_outdoor(
     outdoor = check_matrix(outdoor_totals, "outdoor_totals", non_negative=True)
     indoor = check_matrix(indoor_totals, "indoor_totals", non_negative=True)
     features = outdoor_rsca(outdoor, indoor)
-    labels = surrogate.predict(features).astype(int)
+    labels = surrogate.compile().predict(features).astype(int)
     clusters = (
         [int(c) for c in surrogate.classes_]
         if all_clusters is None

@@ -115,6 +115,44 @@ def rsca(totals: np.ndarray) -> np.ndarray:
     return rsca_from_rca(rca(totals))
 
 
+def reference_rsca(volumes: np.ndarray, service_totals: np.ndarray) -> np.ndarray:
+    """RSCA of raw per-service volumes against frozen reference totals.
+
+    The Eq. 5 generalization used by frozen profiles: each queried row's
+    service shares are compared with a fixed reference network mix
+    (``service_totals``), not with the query's own aggregate.
+
+    Args:
+        volumes: K x M non-negative raw traffic volumes.
+        service_totals: length-M reference per-service totals.
+
+    Raises:
+        ValueError: on malformed volumes, a column-count mismatch, or a
+            row total or reference total that is not finite (float
+            overflow would otherwise turn every RSCA entry into -1).
+    """
+    matrix = check_matrix(volumes, "volumes", non_negative=True)
+    if matrix.shape[1] != service_totals.shape[0]:
+        raise ValueError(
+            f"volumes have {matrix.shape[1]} columns, profile has "
+            f"{service_totals.shape[0]} services"
+        )
+    with np.errstate(over="ignore"):
+        row_totals = matrix.sum(axis=1)
+        grand_total = float(service_totals.sum())
+    if not np.all(np.isfinite(row_totals)):
+        overflowed = np.flatnonzero(~np.isfinite(row_totals))[:5]
+        raise ValueError(
+            f"volume row totals overflow float (first offending rows: "
+            f"{overflowed.tolist()})"
+        )
+    if not np.isfinite(grand_total):
+        raise ValueError("reference service totals overflow float")
+    return rsca_from_rca(
+        rca_from_components(matrix, row_totals, service_totals, grand_total)
+    )
+
+
 def outdoor_rca(
     outdoor_totals: np.ndarray, indoor_totals: np.ndarray
 ) -> np.ndarray:

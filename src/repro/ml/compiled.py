@@ -1,40 +1,42 @@
 """Array-compiled forests: vectorized, bit-identical inference kernels.
 
 The object-graph trees of :mod:`repro.ml.tree` are walked one row at a
-time in Python — fine for fitting-time diagnostics, hopeless on the
-serving hot path (``BENCH_serve.json`` shows the thread pool saturating
-around ~2,000 qps because every vote is GIL-bound Python).  This module
-compiles a fitted :class:`~repro.ml.forest.RandomForestClassifier` into
-flat numpy arrays and evaluates whole micro-batches with vectorized
-level-order traversal:
+time in Python.  They stay for training and as the oracle this module is
+tested against; every inference path runs here instead: stream classify
+and drift, serve batches, ``RandomForestClassifier.score`` and the
+outdoor classification of Fig. 9.  A fitted
+:class:`~repro.ml.forest.RandomForestClassifier` compiles into flat
+numpy arrays and whole batches are evaluated with vectorized level-order
+traversal:
 
 * every tree's ``feature`` / ``threshold`` / child-index vectors are
   stacked forest-wide with per-tree node offsets, leaves marked by a
-  ``feature`` of :data:`~repro.ml.tree.LEAF` and turned into self-loops
-  so the traversal needs no masking;
+  ``feature`` of :data:`~repro.ml.tree.LEAF` and turned into self-loops;
 * one ``(rows, trees)`` node-index matrix descends all trees over all
-  rows simultaneously, one gather per tree level instead of one Python
-  branch per (row, tree, level);
+  rows simultaneously: per level, one gather from the flattened input
+  (leaves read feature 0) and one step through a packed
+  ``[left, right]`` child array, with no masking and no Python branch
+  per (row, tree, level);
 * leaf class distributions are pre-expanded into the forest's class
   space, so the vote accumulates tree-by-tree exactly like the object
   forest — the compiled probabilities are **bit-identical** to
   :meth:`RandomForestClassifier.predict_proba` (asserted in tests and
-  by the ``bench-forest`` harness).
+  by the benchmark's oracle checks).
 
-:class:`FusedProfileKernel` extends the same idea across the serving
-request: raw per-service volumes -> RSCA features -> forest + centroid
-vote in one pass over contiguous arrays, reproducing
+:class:`FusedProfileKernel` extends the same idea across a whole query:
+raw per-service volumes -> RSCA features -> forest + centroid vote in
+one pass over contiguous arrays, reproducing
 :meth:`repro.stream.frozen.FrozenProfile.vote` bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.rca import rca_from_components, rsca_from_rca
+from repro.core.rca import reference_rsca
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import LEAF, DecisionTreeClassifier
 from repro.utils.checks import check_matrix
@@ -152,6 +154,19 @@ class CompiledForest:
     values: np.ndarray
     roots: np.ndarray
     max_depth: int
+    # Traversal arrays derived once per forest, never serialized: the
+    # feature each node reads (0 at leaves), and the two child slots of
+    # node n packed at 2n (left) and 2n + 1 (right).
+    _gather: np.ndarray = field(init=False, repr=False, compare=False)
+    _children: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_gather", np.where(self.feature >= 0, self.feature, 0)
+        )
+        object.__setattr__(
+            self, "_children", np.stack([self.left, self.right], axis=1).ravel()
+        )
 
     @property
     def n_trees(self) -> int:
@@ -182,22 +197,20 @@ class CompiledForest:
         """Absolute leaf node reached by every (row, tree) pair.
 
         Vectorized level-order descent: a ``(rows, trees)`` node matrix
-        starts at the roots and takes one gathered step per tree level.
-        Rows that reached a leaf self-loop, so no masking is needed for
-        correctness — only for the early exit.
+        starts at the roots and takes one gathered step per tree level,
+        reading ``x`` flat at ``row * n_features + gather[node]`` and
+        stepping to ``children[2 * node + (value > threshold)]``.  Leaves
+        gather feature 0 and self-loop through both child slots, so the
+        ``max_depth`` steps need no masking and no early exit.
         """
         x = self._check_features(x)
         n_rows = x.shape[0]
+        flat = x.ravel()
+        offsets = (np.arange(n_rows, dtype=np.int64) * self.n_features)[:, None]
         node = np.repeat(self.roots[None, :], n_rows, axis=0)
-        row_index = np.arange(n_rows)[:, None]
         for _ in range(self.max_depth):
-            feat = self.feature[node]
-            interior = feat >= 0
-            if not interior.any():
-                break
-            queried = x[row_index, np.where(interior, feat, 0)]
-            go_left = queried <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+            go_right = flat[offsets + self._gather[node]] > self.threshold[node]
+            node = self._children[2 * node + go_right]
         return node
 
     def predict_proba(self, x) -> np.ndarray:
@@ -301,13 +314,13 @@ def compile_forest(forest: RandomForestClassifier) -> CompiledForest:
 
 
 class FusedProfileKernel:
-    """One-pass serving kernel: volumes -> RSCA -> forest + centroid vote.
+    """One-pass inference kernel: volumes -> RSCA -> forest + centroid vote.
 
-    Bundles everything a serve batch needs — the compiled forest, the
-    reference centroids/clusters, the column mapping from forest classes
-    into cluster space, and the frozen service totals — so a raw-volume
-    request is answered with one chain of contiguous-array operations
-    and zero object-graph walks.  Every output is bit-identical to the
+    Bundles everything a stream or serve batch needs — the compiled
+    forest, the reference centroids/clusters, the column mapping from
+    forest classes into cluster space, and the frozen service totals —
+    so a raw-volume request is answered with one chain of
+    contiguous-array operations and zero object-graph walks.  Every output is bit-identical to the
     corresponding :class:`~repro.stream.frozen.FrozenProfile` method
     (``vote``, ``rsca_of_volumes``), which the equivalence suite and the
     ``bench-forest`` harness both assert.
@@ -382,19 +395,7 @@ class FusedProfileKernel:
                 "kernel was built without service_totals; raw-volume "
                 "queries need a profile frozen with service_totals"
             )
-        matrix = check_matrix(volumes, "volumes", non_negative=True)
-        if matrix.shape[1] != self.service_totals.shape[0]:
-            raise ValueError(
-                f"volumes have {matrix.shape[1]} columns, profile has "
-                f"{self.service_totals.shape[0]} services"
-            )
-        rca = rca_from_components(
-            matrix,
-            matrix.sum(axis=1),
-            self.service_totals,
-            float(self.service_totals.sum()),
-        )
-        return rsca_from_rca(rca)
+        return reference_rsca(volumes, self.service_totals)
 
     def vote_volumes(self, volumes: np.ndarray) -> np.ndarray:
         """The fused raw-volume path: transform and vote in one call."""

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.obs import get_logger, span, timed_stage
 from repro.relia.degrade import ServeDegradePolicy
-from repro.relia.errors import RetryExhausted, WorkerCrash
 from repro.relia.retry import CircuitBreaker
 from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_key
 from repro.serve.metrics import ServeMetrics
@@ -218,14 +217,11 @@ class ProfileService:
             behavior.
         max_item_retries: times a request stranded by a worker crash is
             requeued before failing (see :class:`MicroBatcher`).
-        use_compiled: route batch votes through the profile's fused
-            array-compiled kernel (:meth:`FrozenProfile.kernel`) — the
-            default.  Input errors (``ValueError``/``TypeError``) still
-            propagate, but any unexpected kernel failure falls back to
-            the object forest for that batch (counted in
-            ``repro_kernel_fallback_total``), so the compiled path can
-            never lose an answer the object path would have produced.
-            False pins every vote to the object forest.
+
+    Every batch votes through the profile's compiled kernel
+    (:meth:`FrozenProfile.kernel`).  A kernel failure fails the batch;
+    under ``degrade`` it is answered from the nearest centroids like any
+    other worker failure, and without it the request raises.
     """
 
     def __init__(
@@ -243,9 +239,7 @@ class ProfileService:
         metrics: Optional[ServeMetrics] = None,
         degrade: Optional[ServeDegradePolicy] = None,
         max_item_retries: int = 2,
-        use_compiled: bool = True,
     ) -> None:
-        self.use_compiled = bool(use_compiled)
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.registry = ProfileRegistry()
         self.cache = ResultCache(maxsize=cache_size, ttl_seconds=cache_ttl_s)
@@ -282,11 +276,6 @@ class ProfileService:
         self._degraded_total = obs_registry.counter(
             "repro_degraded_answers_total",
             "Queries answered from the nearest-centroid fallback path",
-        )
-        self._kernel_fallback_total = obs_registry.counter(
-            "repro_kernel_fallback_total",
-            "Batches answered by the object forest after an unexpected "
-            "compiled-kernel failure",
         )
         self._breaker: Optional[CircuitBreaker] = None
         if degrade is not None:
@@ -400,7 +389,7 @@ class ProfileService:
         with self.registry.acquire() as (_version, profile):
             with timed_stage("serve.rsca_transform",
                              registry=self.metrics.registry):
-                features = self._transform_volumes(profile, volumes)
+                features = profile.kernel().rsca_of_volumes(volumes)
         return self.submit(features)
 
     def classify_volumes(self, volumes: np.ndarray,
@@ -417,50 +406,14 @@ class ProfileService:
     # ------------------------------------------------------------------
 
     def _classify_batch(self, features: np.ndarray):
-        """Vote one stacked batch under a single pinned version.
-
-        The compiled kernel is the primary path (bit-identical to the
-        object forest); input errors propagate as-is, anything else
-        falls back to the object forest for this batch so degraded mode
-        keeps serving full-fidelity answers.
-        """
+        """Vote one stacked batch through the kernel under one pinned version."""
         with timed_stage("serve.vote", registry=self.metrics.registry,
                          rows=int(features.shape[0])):
             with self.registry.acquire() as (version, profile):
-                if self.use_compiled:
-                    try:
-                        with timed_stage(
-                            "serve.kernel_vote",
-                            registry=self.metrics.registry,
-                            rows=int(features.shape[0]),
-                        ):
-                            return profile.kernel().vote(features), version
-                    except (ValueError, TypeError):
-                        raise  # malformed input fails the same on either path
-                    except Exception as exc:
-                        self._kernel_fallback_total.inc()
-                        _log.warning(
-                            "kernel_fallback", error_type=type(exc).__name__,
-                            error=str(exc),
-                        )
-                return profile.vote(features), version
-
-    def _transform_volumes(
-        self, profile: FrozenProfile, volumes: np.ndarray
-    ) -> np.ndarray:
-        """Raw volumes -> RSCA via the fused kernel, object math on failure."""
-        if self.use_compiled:
-            try:
-                return profile.kernel().rsca_of_volumes(volumes)
-            except (ValueError, TypeError):
-                raise  # malformed input fails the same on either path
-            except Exception as exc:
-                self._kernel_fallback_total.inc()
-                _log.warning(
-                    "kernel_fallback", error_type=type(exc).__name__,
-                    error=str(exc),
-                )
-        return profile.rsca_of_volumes(volumes)
+                with timed_stage("serve.kernel_vote",
+                                 registry=self.metrics.registry,
+                                 rows=int(features.shape[0])):
+                    return profile.kernel().vote(features), version
 
     def _store(self, version: int, key: bytes, label: int) -> None:
         self.cache.put((version, key), int(label))
@@ -475,10 +428,11 @@ class ProfileService:
         """Whether this batch failure should fall back, not raise."""
         if self.degrade is None or not self.degrade.fallback_to_centroids:
             return False
-        if isinstance(exc, ShedRequest):
-            return False  # admission control stays fail-fast
-        return isinstance(
-            exc, (WorkerCrash, RetryExhausted, RuntimeError, TimeoutError)
+        # Admission control stays fail-fast and malformed input fails
+        # loudly; any other batch failure (a worker crash, a timeout, a
+        # failing kernel) is answered from the nearest centroids.
+        return isinstance(exc, Exception) and not isinstance(
+            exc, (ShedRequest, ValueError, TypeError)
         )
 
     def _note_worker_crash(self, index: int, exc: BaseException) -> None:

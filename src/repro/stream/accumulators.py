@@ -92,7 +92,12 @@ class _AntennaTable:
             )
 
     def _rows_for(self, antenna_ids: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-        """Row indices for a batch's antennas, registering new ones."""
+        """Row indices for a batch's antennas, registering new ones.
+
+        Capacity grows at most once per batch, to at least double and at
+        least the rows this batch needs, so a burst of new antennas costs
+        one reallocation rather than one per doubling.
+        """
         rows = np.empty(antenna_ids.size, dtype=np.intp)
         new_ids: List[int] = []
         for k, raw in enumerate(antenna_ids):
@@ -100,14 +105,16 @@ class _AntennaTable:
             row = self._index.get(aid)
             if row is None:
                 row = len(self._ids)
-                if row >= self._capacity:
-                    new_capacity = max(_INITIAL_CAPACITY, 2 * self._capacity)
-                    self._grow_arrays(new_capacity)
-                    self._capacity = new_capacity
                 self._index[aid] = row
                 self._ids.append(aid)
                 new_ids.append(aid)
             rows[k] = row
+        if len(self._ids) > self._capacity:
+            new_capacity = max(
+                _INITIAL_CAPACITY, 2 * self._capacity, len(self._ids)
+            )
+            self._grow_arrays(new_capacity)
+            self._capacity = new_capacity
         return rows, new_ids
 
     def _restore_registry(

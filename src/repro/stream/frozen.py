@@ -5,8 +5,11 @@ An :class:`~repro.core.pipeline.ICNProfile` is a heavyweight object
 the parts that define the *reference partition*: the RSCA features and
 labels of the training antennas, the per-cluster centroids, and the
 surrogate forest.  :class:`FrozenProfile` captures exactly that, serializes
-to ``.npz``, and exposes the nearest-centroid + surrogate-forest vote the
-:class:`~repro.stream.profiler.StreamingProfiler` classifies with.
+to ``.npz``, and exposes the nearest-centroid + surrogate-forest vote in
+two forms: :meth:`FrozenProfile.kernel`, the compiled inference path the
+:class:`~repro.stream.profiler.StreamingProfiler` and the serving layer
+classify with, and :meth:`FrozenProfile.vote`, the object-forest oracle
+that kernel must equal.
 
 Serialization stores the training features/labels and the forest's
 hyper-parameters rather than the fitted trees: the from-scratch forest is
@@ -24,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.rca import rca_from_components, rsca_from_rca
+from repro.core.rca import reference_rsca
 from repro.ml.compiled import CompiledForest, FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
 from repro.utils.checks import check_matrix
@@ -87,11 +90,11 @@ class FrozenProfile:
         return self.compiled
 
     def kernel(self) -> FusedProfileKernel:
-        """The fused batch serving kernel for this profile.
+        """The fused inference kernel for this profile.
 
         Bundles the compiled forest, the reference centroids, and the
-        frozen service totals so serving batches run one pass over
-        contiguous arrays — ``kernel().vote`` is bit-identical to
+        frozen service totals so stream and serve batches run one pass
+        over contiguous arrays — ``kernel().vote`` is bit-identical to
         :meth:`vote` and ``kernel().vote_volumes`` to
         ``vote(rsca_of_volumes(...))``.
         """
@@ -127,6 +130,12 @@ class FrozenProfile:
         the nearest centroid one full vote; the argmax decides.  Where
         forest and centroid agree the agreement wins outright; where they
         disagree, the forest's confidence margin settles it.
+
+        This is the object-forest reference the kernel must equal: every
+        inference path (stream classify and drift, serve batches) votes
+        through ``kernel().vote``, and this method stays on the object
+        forest so tests and benchmark oracles compare the kernel against
+        an independent implementation.
         """
         x = check_matrix(features, "features")
         scores = np.zeros((x.shape[0], self.n_clusters))
@@ -148,26 +157,16 @@ class FrozenProfile:
 
         Raises:
             ValueError: when the artifact was frozen without
-                ``service_totals``, or the volumes are malformed.
+                ``service_totals``, or the volumes are malformed or their
+                row totals overflow (see
+                :func:`repro.core.rca.reference_rsca`).
         """
         if self.service_totals is None:
             raise ValueError(
                 "profile was frozen without service_totals; re-freeze with "
                 "freeze_profile(..., service_totals=dataset.totals.sum(axis=0))"
             )
-        matrix = check_matrix(volumes, "volumes", non_negative=True)
-        if matrix.shape[1] != len(self.service_names):
-            raise ValueError(
-                f"volumes have {matrix.shape[1]} columns, profile has "
-                f"{len(self.service_names)} services"
-            )
-        rca = rca_from_components(
-            matrix,
-            matrix.sum(axis=1),
-            self.service_totals,
-            float(self.service_totals.sum()),
-        )
-        return rsca_from_rca(rca)
+        return reference_rsca(volumes, self.service_totals)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -5,7 +5,9 @@
 it folds each arriving :class:`~repro.stream.batch.HourlyBatch` into the
 incremental accumulators, classifies every antenna seen so far against a
 :class:`~repro.stream.frozen.FrozenProfile` (nearest-centroid +
-surrogate-forest vote), reports per-batch cluster occupancy, and raises
+surrogate-forest vote, through the profile's compiled kernel, which is
+bit-identical to the object-forest ``FrozenProfile.vote``), reports
+per-batch cluster occupancy, and raises
 drift signals — via :func:`repro.analysis.drift.compare_partitions` —
 when the streamed partition walks away from the frozen reference, which
 is the operator's cue to re-run the batch pipeline (the "additional
@@ -194,10 +196,10 @@ class StreamingProfiler:
 
         Returns:
             ``(antenna_ids, labels)`` from the running RSCA features and
-            the frozen profile's vote.
+            the frozen profile's compiled-kernel vote.
         """
         ids, features = self.totals.rsca_nonzero()
-        return ids, self.frozen.vote(features)
+        return ids, self.frozen.kernel().vote(features)
 
     def _occupancy_of(self, labels: np.ndarray) -> Dict[int, int]:
         occupancy = {int(c): 0 for c in self.frozen.clusters}
@@ -226,7 +228,7 @@ class StreamingProfiler:
         """
         with span("stream.drift"), self.metrics.timer("drift_seconds"):
             ids, features = self.totals.rsca_nonzero()
-            labels = self.frozen.vote(features)
+            labels = self.frozen.kernel().vote(features)
             frozen_pos = {
                 int(aid): row for row, aid in enumerate(self.frozen.antenna_ids)
             }

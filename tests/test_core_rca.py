@@ -1,5 +1,7 @@
 """Tests for the RCA/RSCA transforms (paper Eqs. 1, 2, 5)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.rca import (
     outdoor_rca,
     outdoor_rsca,
     rca,
+    reference_rsca,
     rsca,
     rsca_from_rca,
 )
@@ -117,6 +120,25 @@ class TestOutdoorRca:
     def test_zero_outdoor_antenna_rejected(self):
         with pytest.raises(ValueError, match="zero total"):
             outdoor_rca(np.zeros((1, 2)), np.ones((1, 2)))
+
+
+class TestReferenceRsca:
+    def test_against_reference_mix(self):
+        reference = np.array([90.0, 10.0])
+        values = reference_rsca(np.array([[50.0, 50.0]]), reference)
+        # Shares 0.5 / 0.5 against 0.9 / 0.1 -> RCA 5/9 and 5.
+        np.testing.assert_allclose(values, rsca_from_rca([[5.0 / 9.0, 5.0]]))
+
+    def test_overflowing_row_total_rejected_quietly(self):
+        volumes = np.array([[1.0, 2.0], [1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflow.*\[1\]"):
+                reference_rsca(volumes, np.ones(2))
+
+    def test_overflowing_reference_total_rejected(self):
+        with pytest.raises(ValueError, match="reference .* overflow"):
+            reference_rsca(np.ones((1, 2)), np.array([1e308, 1e308]))
 
 
 class TestNormalizedTraffic:

@@ -178,6 +178,14 @@ class TestFusedProfileKernel:
         with pytest.raises(ValueError, match="service_totals"):
             kernel.rsca_of_volumes(np.ones((2, len(frozen.service_names))))
 
+    def test_overflowing_row_totals_rejected(self, tiny_frozen):
+        frozen, _totals = tiny_frozen
+        row = np.full((1, len(frozen.service_names)), 1e308)
+        for transform in (frozen.rsca_of_volumes,
+                          frozen.kernel().rsca_of_volumes):
+            with pytest.raises(ValueError, match="overflow"):
+                transform(row)
+
     def test_shape_mismatches_raise(self, tiny_frozen):
         frozen, _totals = tiny_frozen
         with pytest.raises(ValueError, match="clusters"):
@@ -319,6 +327,38 @@ class TestHypothesisBitIdentity:
             loaded.compiled.predict_proba(queries),
             frozen.surrogate.predict_proba(queries),
         )
+
+
+class TestTraversal:
+    """The flat-gather, packed-children descent against the object forest."""
+
+    @given(seed=seeds,
+           max_depth=st.sampled_from([1, None]),
+           n_rows=st.sampled_from([1, 2, 3, 17, 64]),
+           on_threshold=st.booleans(),
+           order=st.sampled_from(["C", "F"]))
+    @settings(max_examples=40, deadline=None)
+    def test_leaves_and_proba_match_object_forest(self, seed, max_depth, n_rows,
+                                                  on_threshold, order):
+        forest, _ = fitted_forest(seed=seed, n=120, m=6, n_estimators=8,
+                                  max_depth=max_depth)
+        compiled = forest.compile()
+        gen = np.random.default_rng(seed)
+        queries = gen.normal(size=(n_rows, 6))
+        if on_threshold:
+            # A value equal to its node's threshold must go left.
+            interior = np.flatnonzero(compiled.feature >= 0)
+            picks = gen.choice(interior, size=n_rows)
+            queries[np.arange(n_rows), compiled.feature[picks]] = (
+                compiled.threshold[picks]
+            )
+        queries = np.asarray(queries, order=order)
+        leaves = compiled.leaf_indices(queries)
+        for t, tree in enumerate(forest.trees_):
+            assert np.array_equal(leaves[:, t] - compiled.roots[t],
+                                  tree.decision_path_leaf(queries))
+        assert np.array_equal(compiled.predict_proba(queries),
+                              forest.predict_proba(queries))
 
 
 class TestForestBenchHarness:

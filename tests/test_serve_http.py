@@ -141,6 +141,15 @@ class TestErrorMapping:
         body = json.loads(excinfo.value.read().decode("utf-8"))
         assert "columns" in body["error"]
 
+    def test_volume_row_total_overflow_400(self, live_server):
+        base_url, frozen = live_server
+        width = frozen.features.shape[1]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base_url, "/classify", {"volumes": [[1e308] * width]})
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read().decode("utf-8"))
+        assert "overflow" in body["error"]
+
     def test_no_profile_503(self):
         service = ProfileService()  # nothing loaded
         server = make_server(service, port=0)

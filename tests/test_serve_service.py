@@ -7,7 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ProfileService, ServeClient, ShedRequest
+from repro.serve import (
+    ProfileService,
+    ServeClient,
+    ServeDegradePolicy,
+    ShedRequest,
+)
 from tests.conftest import build_frozen_profile
 
 
@@ -281,6 +286,17 @@ class TestMetricsSnapshot:
         assert service.metrics.count("requests") == 0
 
 
+class _BrokenKernel:
+    def __init__(self, error=RuntimeError):
+        self.error = error
+
+    def vote(self, features):
+        raise self.error("kernel exploded")
+
+    def rsca_of_volumes(self, volumes):
+        raise RuntimeError("kernel exploded")
+
+
 class TestCompiledKernelRouting:
     """The tentpole serving path: batches vote through the fused kernel."""
 
@@ -295,37 +311,31 @@ class TestCompiledKernelRouting:
             assert family is not None
             assert family.labels(stage="serve.kernel_vote").count >= 1
 
-    def test_use_compiled_false_pins_object_path(self, frozen_and_totals):
-        frozen, _ = frozen_and_totals
-        with ProfileService(frozen, max_batch=16, n_workers=1, cache_size=0,
-                            use_compiled=False) as svc:
-            queries = frozen.features[:20]
-            result = svc.classify(queries)
-            assert np.array_equal(result.labels, frozen.vote(queries))
-            family = svc.metrics.registry.get("repro_stage_seconds")
-            assert family.labels(stage="serve.kernel_vote").count == 0
-            assert family.labels(stage="serve.vote").count >= 1
-
-    def test_kernel_failure_falls_back_to_object_forest(self):
+    def test_kernel_failure_degrades_under_policy(self):
         frozen, _ = build_frozen_profile(seed=11)
+        frozen._kernel = _BrokenKernel()
+        queries = frozen.features[:10]
+        with ProfileService(frozen, max_batch=16, n_workers=1, cache_size=0,
+                            degrade=ServeDegradePolicy()) as svc:
+            result = svc.classify(queries)
+            assert result.degraded
+            assert np.array_equal(result.labels,
+                                  frozen.nearest_centroids(queries))
 
-        class _BrokenKernel:
-            def vote(self, features):
-                raise RuntimeError("kernel exploded")
+    def test_any_non_input_kernel_error_degrades(self):
+        frozen, _ = build_frozen_profile(seed=11)
+        frozen._kernel = _BrokenKernel(IndexError)
+        with ProfileService(frozen, max_batch=16, n_workers=1, cache_size=0,
+                            degrade=ServeDegradePolicy()) as svc:
+            assert svc.classify(frozen.features[:3]).degraded
 
-            def rsca_of_volumes(self, volumes):
-                raise RuntimeError("kernel exploded")
-
+    def test_kernel_failure_raises_without_policy(self):
+        frozen, _ = build_frozen_profile(seed=11)
         frozen._kernel = _BrokenKernel()
         with ProfileService(frozen, max_batch=16, n_workers=1,
                             cache_size=0) as svc:
-            queries = frozen.features[:10]
-            result = svc.classify(queries)
-            # Full-fidelity answer from the object forest, NOT degraded.
-            assert np.array_equal(result.labels, frozen.vote(queries))
-            assert not result.degraded
-            fallback = svc.metrics.registry.get("repro_kernel_fallback_total")
-            assert fallback.value >= 1
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                svc.classify(frozen.features[:10])
 
     def test_volume_queries_use_fused_transform(self, frozen_and_totals):
         frozen, totals = frozen_and_totals
@@ -338,20 +348,12 @@ class TestCompiledKernelRouting:
             family = svc.metrics.registry.get("repro_stage_seconds")
             assert family.labels(stage="serve.rsca_transform").count >= 1
 
-    def test_broken_volume_kernel_falls_back(self):
+    def test_broken_volume_kernel_raises(self):
+        # The transform runs before admission, so there are no features
+        # to degrade with: a failing kernel fails the request loudly.
         frozen, totals = build_frozen_profile(seed=12)
-
-        class _BrokenKernel:
-            def vote(self, features):
-                raise RuntimeError("kernel exploded")
-
-            def rsca_of_volumes(self, volumes):
-                raise RuntimeError("kernel exploded")
-
         frozen._kernel = _BrokenKernel()
-        with ProfileService(frozen, max_batch=16, n_workers=1,
-                            cache_size=0) as svc:
-            volumes = totals[:6]
-            result = svc.classify_volumes(volumes)
-            expected = frozen.vote(frozen.rsca_of_volumes(volumes))
-            assert np.array_equal(result.labels, expected)
+        with ProfileService(frozen, max_batch=16, n_workers=1, cache_size=0,
+                            degrade=ServeDegradePolicy()) as svc:
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                svc.classify_volumes(totals[:6])

@@ -72,6 +72,28 @@ class TestRunningTotals:
         assert acc.n_antennas == 500
         np.testing.assert_allclose(acc.totals(), np.ones((500, 3)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: IncrementalRSCA(SERVICES),
+        lambda: SlidingWindowTensor(SERVICES, window_hours=4),
+    ], ids=["totals", "window"])
+    def test_one_batch_of_new_antennas_grows_once(self, make, monkeypatch):
+        acc = make()
+        grown = []
+        grow = type(acc)._grow_arrays
+
+        def counting_grow(self, new_capacity):
+            grown.append(new_capacity)
+            grow(self, new_capacity)
+
+        monkeypatch.setattr(type(acc), "_grow_arrays", counting_grow)
+        traffic = np.arange(3000.0).reshape(1000, 3) + 1.0
+        acc.update(HourlyBatch(hour(0), np.arange(1000), traffic, SERVICES))
+        assert grown == [1000]
+        acc.update(HourlyBatch(hour(1), np.arange(1000, 1003),
+                               np.ones((3, 3)), SERVICES))
+        assert grown == [1000, 2000]
+        assert acc.antenna_ids().tolist() == list(range(1003))
+
     def test_rejects_out_of_order_hours(self):
         acc = RunningTotals(SERVICES)
         acc.update(HourlyBatch(hour(5), np.array([0]), np.ones((1, 3)),

@@ -6,6 +6,7 @@ import pytest
 from repro.core.pipeline import ICNProfiler
 from repro.datagen.calendar import StudyCalendar
 from repro.datagen.dataset import generate_dataset
+from repro.ml.forest import RandomForestClassifier
 from repro.stream import (
     FrozenProfile,
     StreamingProfiler,
@@ -269,3 +270,32 @@ class TestStreamingProfiler:
             StreamingProfiler(frozen, classify_every=-1)
         with pytest.raises(ValueError, match="drift_threshold"):
             StreamingProfiler(frozen, drift_threshold=0.0)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("this path must not be called here")
+
+
+class TestInferencePaths:
+    """Stream inference runs on the kernel; ``vote`` stays its oracle."""
+
+    def test_replay_votes_through_kernel(self, frozen, batches, monkeypatch):
+        # With the object forest unable to vote, a replay that classifies
+        # and checks drift on schedule must still run end to end.
+        monkeypatch.setattr(RandomForestClassifier, "predict_proba", _refuse)
+        streamer = StreamingProfiler(frozen, window_hours=24,
+                                     classify_every=6, drift_check_every=24)
+        results = [streamer.ingest(batch) for batch in batches]
+        assert sum(r.occupancy is not None for r in results) == len(batches) // 6
+        assert sum(r.drift is not None for r in results) == len(batches) // 24
+        _, labels = streamer.classify_current()
+        _, features = streamer.totals.rsca_nonzero()
+        monkeypatch.undo()
+        assert np.array_equal(labels, frozen.vote(features))
+
+    def test_vote_is_independent_of_kernel(self, frozen, monkeypatch):
+        expected = frozen.kernel().vote(frozen.features)
+        monkeypatch.setattr(FrozenProfile, "kernel", _refuse)
+        monkeypatch.setattr(FrozenProfile, "compiled_forest", _refuse)
+        monkeypatch.setattr(RandomForestClassifier, "compile", _refuse)
+        assert np.array_equal(frozen.vote(frozen.features), expected)
