@@ -80,7 +80,7 @@ def test_perf_unbatched_classify(benchmark, frozen, queries):
 
 def test_perf_batched_throughput(benchmark, frozen, queries):
     """Async submission keeps the micro-batcher full; vectorized vote."""
-    with ProfileService(frozen, max_batch=64, max_wait_ms=2.0,
+    with ProfileService(frozen, max_batch=64,
                         n_workers=4, max_queue_depth=4096,
                         cache_size=0) as service:
 

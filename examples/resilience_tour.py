@@ -106,7 +106,7 @@ def main():
 
         print("\n=== Serve through worker crashes ===")
         with ProfileService(
-            frozen, n_workers=2, cache_size=0, max_wait_ms=1.0,
+            frozen, n_workers=2, cache_size=0,
             degrade=ServeDegradePolicy(failure_threshold=1,
                                        reset_timeout_s=1.0),
             max_item_retries=1,

@@ -39,8 +39,7 @@ def main():
           f"{len(frozen.service_names)} services")
 
     print("\n=== In-process serving ===")
-    with ProfileService(frozen, max_batch=64, max_wait_ms=2.0,
-                        n_workers=2) as service:
+    with ProfileService(frozen, max_batch=64, n_workers=2) as service:
         client = ServeClient(service)
 
         answer = client.classify(frozen.features[:5])

@@ -263,7 +263,6 @@ def _cmd_serve(args) -> int:
     service = ProfileService(
         frozen,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         n_workers=args.workers,
         cache_size=args.cache_size,
         cache_ttl_s=args.cache_ttl,
@@ -297,7 +296,7 @@ def _cmd_serve(args) -> int:
         f"on http://{host}:{port}"
     )
     print(
-        f"  micro-batch <= {args.max_batch} rows / {args.max_wait_ms} ms, "
+        f"  micro-batch <= {args.max_batch} rows, "
         f"{args.workers} workers, cache {args.cache_size}, "
         f"admission watermark {args.queue_depth}"
     )
@@ -345,7 +344,6 @@ def _cmd_bench_serve(args) -> int:
         n_queries=args.queries,
         worker_counts=args.workers,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         hot_set=args.hot_set,
     )
     print(format_report(report))
@@ -727,9 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=_port_number, default=8080,
                        help="listening port (0 = pick a free port)")
     serve.add_argument("--max-batch", type=_positive_int, default=64,
-                       help="micro-batch row target")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch gather window in milliseconds")
+                       help="micro-batch row cap")
     serve.add_argument("--workers", type=_positive_int, default=2,
                        help="classification worker threads")
     serve.add_argument("--cache-size", type=int, default=4096,
@@ -766,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=_worker_list, default=[1, 4, 8],
                        help="comma-separated worker counts to sweep")
     bench.add_argument("--max-batch", type=_positive_int, default=64)
-    bench.add_argument("--max-wait-ms", type=float, default=2.0)
     bench.add_argument("--hot-set", type=_positive_int, default=64,
                        help="distinct vectors in the cache workload")
     bench.add_argument("--output", default="BENCH_serve.json",

@@ -18,8 +18,9 @@ traversal:
   ``[left, right]`` child array, with no masking and no Python branch
   per (row, tree, level);
 * leaf class distributions are pre-expanded into the forest's class
-  space, so the vote accumulates tree-by-tree exactly like the object
-  forest — the compiled probabilities are **bit-identical** to
+  space, and one reduction per block of rows sums them tree-by-tree in
+  tree order, exactly like the object forest — the compiled
+  probabilities are **bit-identical** to
   :meth:`RandomForestClassifier.predict_proba` (asserted in tests and
   by the benchmark's oracle checks).
 
@@ -48,6 +49,10 @@ __all__ = [
     "compile_tree",
     "compile_forest",
 ]
+
+#: Rows per accumulation block in :meth:`CompiledForest.predict_proba`:
+#: one block's ``(trees, rows, classes)`` gather stays cache-sized.
+_VOTE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -216,14 +221,20 @@ class CompiledForest:
     def predict_proba(self, x) -> np.ndarray:
         """Mean class-probability estimate, bit-identical to the object forest.
 
-        The per-tree accumulation runs in tree order with leaf values
-        pre-expanded to the forest class space, so every float add
-        matches :meth:`RandomForestClassifier.predict_proba` exactly.
+        Leaf values are pre-expanded to the forest class space and
+        gathered one block of rows at a time as a ``(trees, rows,
+        classes)`` stack, summed over its leading axis.  numpy reduces a
+        leading, non-contiguous axis by adding one tree slice at a time
+        in tree order, so every float add matches
+        :meth:`RandomForestClassifier.predict_proba` exactly.
         """
-        leaves = self.leaf_indices(x)
-        proba = np.zeros((leaves.shape[0], self.n_classes))
-        for t in range(self.n_trees):
-            proba += self.values[leaves[:, t]]
+        leaves = self.leaf_indices(x).T
+        n_rows = leaves.shape[1]
+        proba = np.empty((n_rows, self.n_classes))
+        for start in range(0, n_rows, _VOTE_BLOCK_ROWS):
+            block = slice(start, start + _VOTE_BLOCK_ROWS)
+            np.add.reduce(np.take(self.values, leaves[:, block], axis=0),
+                          axis=0, out=proba[block])
         return proba / self.n_trees
 
     def predict(self, x) -> np.ndarray:

@@ -396,7 +396,6 @@ def _run_scenario(
             frozen,
             n_workers=2,
             cache_size=0,
-            max_wait_ms=1.0,
             metrics=ServeMetrics(registry=get_registry()),
             degrade=ServeDegradePolicy(failure_threshold=1,
                                        reset_timeout_s=1.0),

@@ -53,7 +53,7 @@ def _query_pool(frozen: FrozenProfile, n_queries: int,
 
 def _bench_unbatched(frozen: FrozenProfile, queries: np.ndarray) -> Dict[str, float]:
     with ProfileService(
-        frozen, max_batch=1, max_wait_ms=0.0, n_workers=1, cache_size=0,
+        frozen, max_batch=1, n_workers=1, cache_size=0,
         max_queue_depth=max(16, queries.shape[0]),
     ) as service:
         start = time.perf_counter()
@@ -75,14 +75,12 @@ def _bench_batched(
     queries: np.ndarray,
     n_workers: int,
     max_batch: int,
-    max_wait_ms: float,
     window: int = 512,
 ) -> Dict[str, float]:
     """Async single-vector submissions with a bounded in-flight window."""
     n = queries.shape[0]
     with ProfileService(
-        frozen, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        n_workers=n_workers, cache_size=0,
+        frozen, max_batch=max_batch, n_workers=n_workers, cache_size=0,
         max_queue_depth=max(window * 2, 16),
     ) as service:
         start = time.perf_counter()
@@ -117,7 +115,7 @@ def _bench_cached(
     n = queries.shape[0]
     hot = queries[: max(1, min(hot_set, n))]
     with ProfileService(
-        frozen, max_batch=max_batch, max_wait_ms=0.5, n_workers=2,
+        frozen, max_batch=max_batch, n_workers=2,
         cache_size=4 * hot.shape[0], max_queue_depth=max(n, 16),
     ) as service:
         start = time.perf_counter()
@@ -138,7 +136,6 @@ def run_serve_benchmark(
     n_queries: int = 2000,
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     max_batch: int = 64,
-    max_wait_ms: float = 2.0,
     hot_set: int = 64,
     seed: int = 0,
     extra: Optional[Dict[str, object]] = None,
@@ -154,7 +151,7 @@ def run_serve_benchmark(
     queries = _query_pool(frozen, n_queries, seed=seed)
     unbatched = _bench_unbatched(frozen, queries)
     batched: List[Dict[str, float]] = [
-        _bench_batched(frozen, queries, workers, max_batch, max_wait_ms)
+        _bench_batched(frozen, queries, workers, max_batch)
         for workers in worker_counts
     ]
     cached = _bench_cached(frozen, queries, hot_set, max_batch)
@@ -164,7 +161,6 @@ def run_serve_benchmark(
             "n_queries": int(n_queries),
             "worker_counts": [int(w) for w in worker_counts],
             "max_batch": int(max_batch),
-            "max_wait_ms": float(max_wait_ms),
             "hot_set": int(hot_set),
             "n_reference_antennas": int(frozen.features.shape[0]),
             "n_services": int(frozen.features.shape[1]),

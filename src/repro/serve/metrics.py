@@ -180,7 +180,7 @@ class ServeMetrics:
         )
         self._assembly_hist = self.registry.histogram(
             "repro_serve_batch_assembly_seconds",
-            "Gather window spent assembling each micro-batch",
+            "Queue drain spent assembling each micro-batch",
             buckets=LATENCY_BUCKETS,
         )
         self._batch_rows_hist = self.registry.histogram(
@@ -253,7 +253,7 @@ class ServeMetrics:
         self._queue_wait_hist.observe(seconds)
 
     def observe_assembly(self, seconds: float) -> None:
-        """Record one micro-batch's gather (assembly) window."""
+        """Record one micro-batch's assembly (queue drain) time."""
         self._assembly_hist.observe(seconds)
 
     # ------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Micro-batching scheduler with a worker pool and admission control.
 
-The forest vote is vastly cheaper per row when rows are stacked: one
-``vote()`` over 64 vectors costs little more than one over a single
-vector, because the per-tree Python overhead is paid once per batch
-instead of once per query.  The :class:`MicroBatcher` exploits that —
-incoming requests land on a bounded queue; each worker thread takes the
-first pending request, keeps gathering until it holds ``max_batch`` rows
-or ``max_wait_ms`` elapsed since the gather started, stacks the feature
-rows, classifies them in one call, and scatters the labels back to the
-waiting requests.
+The forest vote is cheaper per row when rows are stacked: its fixed
+per-call numpy overhead is paid once per batch instead of once per
+query.  The :class:`MicroBatcher` exploits that without a timer —
+incoming requests land on a bounded queue; an idle worker takes the
+first pending request plus whatever else is already queued, up to
+``max_batch`` rows, stacks the feature rows, classifies them in one
+call, and scatters the labels back to the waiting requests.  Batching
+is work-conserving (Clipper's adaptive batching without its batch-size
+controller): under load, batches grow from the backlog that queued
+while the last vote ran; with no backlog, a lone request runs at once
+instead of waiting for co-riders.
 
 Admission control is the bounded queue itself: when the queue holds
 ``max_queue_depth`` requests the node is past its high-watermark and
@@ -81,12 +83,9 @@ class MicroBatcher:
     Args:
         classify_fn: callable ``(features) -> (labels, version)`` run once
             per batch on the stacked rows; must be thread-safe.
-        max_batch: target rows per batch.  A gather stops adding requests
+        max_batch: target rows per batch.  A drain stops adding requests
             once it holds at least this many rows (a single over-sized
             request still runs alone, never split).
-        max_wait_ms: longest a gathered batch waits for co-riders.  Zero
-            disables waiting — batches only aggregate what is already
-            queued, trading throughput for minimum latency.
         n_workers: classification worker threads.
         max_queue_depth: admission watermark — queued requests beyond
             which submissions are shed.
@@ -97,7 +96,7 @@ class MicroBatcher:
             its submit-to-execution queue wait (request-lifecycle
             metrics hook).
         on_assembly: optional callback ``(seconds)`` per executed batch
-            with the gather-window duration spent assembling it.
+            with the time spent draining the queue to assemble it.
         max_item_retries: times a request held by a crashed worker is
             requeued before it is failed with :class:`WorkerCrash` —
             a request is never dropped silently either way.
@@ -109,7 +108,6 @@ class MicroBatcher:
         self,
         classify_fn: Callable[[np.ndarray], Tuple[np.ndarray, int]],
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         n_workers: int = 2,
         max_queue_depth: int = 256,
         shed_retry_after_s: float = 0.05,
@@ -121,8 +119,6 @@ class MicroBatcher:
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if max_queue_depth < 1:
@@ -131,7 +127,6 @@ class MicroBatcher:
             )
         self._classify = classify_fn
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.n_workers = int(n_workers)
         self.max_queue_depth = int(max_queue_depth)
         self.shed_retry_after_s = float(shed_retry_after_s)
@@ -252,18 +247,13 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _gather(self, first: _WorkItem) -> Tuple[List[_WorkItem], bool]:
-        """Collect co-riders for ``first`` until rows or deadline run out."""
+        """Drain what is already queued behind ``first``; never wait."""
         batch = [first]
         rows = first.features.shape[0]
-        deadline = time.monotonic() + self.max_wait_s
         saw_stop = False
         while rows < self.max_batch:
-            remaining = deadline - time.monotonic()
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

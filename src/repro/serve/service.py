@@ -200,8 +200,8 @@ class ProfileService:
 
     Args:
         frozen: profile to install immediately (else call :meth:`reload`).
-        max_batch: micro-batch row target (see :class:`MicroBatcher`).
-        max_wait_ms: micro-batch gather window.
+        max_batch: micro-batch row cap (see :class:`MicroBatcher`); an
+            idle worker votes whatever is queued, up to this many rows.
         n_workers: classification worker threads.
         cache_size: LRU capacity in vectors; 0 disables caching.
         cache_ttl_s: cache entry lifetime; None keeps until evicted.
@@ -229,7 +229,6 @@ class ProfileService:
         frozen: Optional[FrozenProfile] = None,
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         n_workers: int = 2,
         cache_size: int = 4096,
         cache_ttl_s: Optional[float] = None,
@@ -248,7 +247,6 @@ class ProfileService:
         self._batcher = MicroBatcher(
             self._classify_batch,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             n_workers=n_workers,
             max_queue_depth=max_queue_depth,
             shed_retry_after_s=shed_retry_after_s,

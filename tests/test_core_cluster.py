@@ -17,6 +17,7 @@ from repro.core.cluster import (
     pairwise_distances,
     threshold_for_k,
 )
+from repro.core.rca import rsca
 
 scipy_hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
 
@@ -77,6 +78,20 @@ class TestLinkageVsScipy:
             # Same partition up to label permutation.
             pairs = set(zip(a.tolist(), b.tolist()))
             assert len(pairs) == k
+
+    def test_ward_matches_scipy_at_paper_scale(self, full_dataset):
+        # The 4,762 x 73 RSCA matrix the paper pipeline clusters.
+        x = rsca(full_dataset.totals)
+        ours = linkage(x, "ward")
+        reference = scipy_hierarchy.linkage(x, method="ward")
+        np.testing.assert_allclose(ours[:, 2], reference[:, 2], rtol=1e-8)
+        np.testing.assert_array_equal(ours[:, 3], reference[:, 3])
+        for k in (9, 6):
+            a = cut_tree(ours, k)
+            b = scipy_hierarchy.fcluster(reference, k, criterion="maxclust")
+            # Same partition up to label permutation.
+            assert np.unique(a).size == np.unique(b).size == k
+            assert len(set(zip(a.tolist(), b.tolist()))) == k
 
     def test_cophenetic_matches_scipy(self, rng):
         x = rng.normal(size=(25, 4))

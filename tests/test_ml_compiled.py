@@ -258,9 +258,10 @@ class TestPaperScale:
         frozen = full_profile.freeze(
             service_totals=full_dataset.totals.sum(axis=0)
         )
+        # All 4,762 rows: the vote's last 256-row block is partial (154).
         queries = np.clip(
-            frozen.features[:512]
-            + rng.normal(0, 1e-4, size=frozen.features[:512].shape),
+            frozen.features
+            + rng.normal(0, 1e-4, size=frozen.features.shape),
             -1.0, 1.0,
         )
         kernel = frozen.kernel()
@@ -334,7 +335,7 @@ class TestTraversal:
 
     @given(seed=seeds,
            max_depth=st.sampled_from([1, None]),
-           n_rows=st.sampled_from([1, 2, 3, 17, 64]),
+           n_rows=st.sampled_from([1, 2, 3, 17, 64, 255, 256, 257, 600]),
            on_threshold=st.booleans(),
            order=st.sampled_from(["C", "F"]))
     @settings(max_examples=40, deadline=None)

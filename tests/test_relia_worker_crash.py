@@ -46,7 +46,7 @@ def echo_classify(features):
 def test_crashed_workers_requeue_inflight_requests(fresh_registry):
     plan = FaultPlan().add("serve.worker", "crash", times=2)
     with inject(plan):
-        with MicroBatcher(echo_classify, n_workers=2, max_wait_ms=1.0,
+        with MicroBatcher(echo_classify, n_workers=2,
                           max_item_retries=3) as batcher:
             items = [
                 batcher.submit(np.array([[float(k), 0.0]]))
@@ -66,8 +66,7 @@ def test_crashed_workers_requeue_inflight_requests(fresh_registry):
 def test_pool_respawns_to_full_strength(frozen):
     plan = FaultPlan().add("serve.worker", "crash", times=2)
     with inject(plan):
-        with MicroBatcher(echo_classify, n_workers=2,
-                          max_wait_ms=1.0) as batcher:
+        with MicroBatcher(echo_classify, n_workers=2) as batcher:
             for k in range(6):
                 item = batcher.submit(np.array([[float(k), 0.0]]))
                 batcher.wait(item, timeout=WAIT_S)
@@ -82,7 +81,7 @@ def test_exhausted_retries_fail_typed_never_hang():
     # wait forever on a silently dropped request.
     plan = FaultPlan().add("serve.worker", "crash", times=None)
     with inject(plan):
-        with MicroBatcher(echo_classify, n_workers=2, max_wait_ms=1.0,
+        with MicroBatcher(echo_classify, n_workers=2,
                           max_item_retries=0) as batcher:
             item = batcher.submit(np.array([[7.0, 0.0]]))
             with pytest.raises(WorkerCrash, match="abandoned"):
@@ -97,7 +96,7 @@ def test_service_degrades_instead_of_failing(frozen, fresh_registry):
     expected = frozen.nearest_centroids(queries)
     with inject(plan):
         with ProfileService(
-            frozen, n_workers=2, cache_size=0, max_wait_ms=1.0,
+            frozen, n_workers=2, cache_size=0,
             metrics=ServeMetrics(registry=fresh_registry),
             degrade=ServeDegradePolicy(failure_threshold=1,
                                        reset_timeout_s=60.0),
@@ -116,7 +115,7 @@ def test_service_without_degrade_policy_raises_typed(frozen):
     plan = FaultPlan().add("serve.worker", "crash", times=None)
     with inject(plan):
         with ProfileService(frozen, n_workers=2, cache_size=0,
-                            max_wait_ms=1.0, max_item_retries=1) as service:
+                            max_item_retries=1) as service:
             with pytest.raises(WorkerCrash):
                 service.classify(frozen.features[:3], timeout=WAIT_S)
 

@@ -14,14 +14,29 @@ def _echo_classify(features):
     return features[:, 0].astype(int), 1
 
 
+class _GatedVote:
+    """Echo classifier that records batch sizes and blocks until released."""
+
+    def __init__(self):
+        self.batch_rows = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, features):
+        self.batch_rows.append(features.shape[0])
+        self.entered.set()
+        self.release.wait(10.0)
+        return _echo_classify(features)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_wait_ms": -1.0},
             {"n_workers": 0},
             {"max_queue_depth": 0},
+            {"max_item_retries": -1},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -44,7 +59,7 @@ class TestValidation:
 class TestBatching:
     def test_results_route_back_to_the_right_request(self):
         with MicroBatcher(_echo_classify, max_batch=8,
-                          max_wait_ms=5.0, n_workers=2) as batcher:
+                          n_workers=2) as batcher:
             items = [
                 batcher.submit(np.full((rows, 3), value, dtype=float))
                 for value, rows in [(10, 1), (20, 3), (30, 2)]
@@ -55,22 +70,20 @@ class TestBatching:
                 assert version == 1
 
     def test_concurrent_submissions_aggregate_into_batches(self):
-        batch_rows = []
-
-        def classify(features):
-            batch_rows.append(features.shape[0])
-            time.sleep(0.002)  # give co-riders time to queue
-            return features[:, 0].astype(int), 1
-
+        # The first vote blocks until all 63 other requests have queued
+        # from 8 threads, so the drains that follow see the whole
+        # backlog: no timer decides the batch shapes.
+        vote = _GatedVote()
         n_requests = 64
-        with MicroBatcher(classify, max_batch=16, max_wait_ms=20.0,
-                          n_workers=1, max_queue_depth=n_requests) as batcher:
-            items = []
+        with MicroBatcher(vote, max_batch=16, n_workers=1,
+                          max_queue_depth=n_requests) as batcher:
+            items = [batcher.submit(np.full((1, 2), 0.0))]
+            assert vote.entered.wait(5.0)
             barrier = threading.Barrier(8)
 
             def submitter(start):
                 barrier.wait()
-                for value in range(start, start + 8):
+                for value in range(max(start, 1), start + 8):
                     items.append(
                         batcher.submit(np.full((1, 2), value, dtype=float))
                     )
@@ -83,14 +96,13 @@ class TestBatching:
                 thread.start()
             for thread in threads:
                 thread.join()
+            vote.release.set()
             results = sorted(
                 int(MicroBatcher.wait(item, timeout=10.0)[0][0])
                 for item in items
             )
         assert results == list(range(n_requests))
-        assert sum(batch_rows) == n_requests
-        assert max(batch_rows) > 1, "no batch ever aggregated"
-        assert max(batch_rows) <= 16
+        assert vote.batch_rows == [1, 16, 16, 16, 15]
 
     def test_oversized_request_runs_alone(self):
         sizes = []
@@ -99,8 +111,7 @@ class TestBatching:
             sizes.append(features.shape[0])
             return np.zeros(features.shape[0], dtype=int), 1
 
-        with MicroBatcher(classify, max_batch=4, max_wait_ms=0.0,
-                          n_workers=1) as batcher:
+        with MicroBatcher(classify, max_batch=4, n_workers=1) as batcher:
             item = batcher.submit(np.zeros((10, 2)))
             labels, _ = MicroBatcher.wait(item, timeout=5.0)
         assert labels.size == 10
@@ -108,12 +119,47 @@ class TestBatching:
 
     def test_on_batch_callback_sees_requests_and_rows(self):
         seen = []
-        with MicroBatcher(_echo_classify, max_batch=8, max_wait_ms=0.0,
-                          n_workers=1,
+        with MicroBatcher(_echo_classify, max_batch=8, n_workers=1,
                           on_batch=lambda reqs, rows: seen.append(
                               (reqs, rows))) as batcher:
             MicroBatcher.wait(batcher.submit(np.zeros((3, 2))), timeout=5.0)
         assert seen == [(1, 3)]
+
+
+class TestWorkConserving:
+    """An idle worker votes at once; backlog, not a timer, forms batches."""
+
+    def test_lone_request_runs_alone_before_a_second_arrives(self):
+        vote = _GatedVote()
+        with MicroBatcher(vote, max_batch=64, n_workers=1) as batcher:
+            first = batcher.submit(np.full((1, 2), 1.0))
+            # The vote starts with nothing else queued: no co-rider wait.
+            assert vote.entered.wait(5.0)
+            assert vote.batch_rows == [1]
+            second = batcher.submit(np.full((1, 2), 2.0))
+            vote.release.set()
+            assert MicroBatcher.wait(first, timeout=5.0)[0].tolist() == [1]
+            assert MicroBatcher.wait(second, timeout=5.0)[0].tolist() == [2]
+        assert vote.batch_rows == [1, 1]
+
+    def test_burst_behind_a_blocked_vote_forms_large_batches(self):
+        vote = _GatedVote()
+        n_burst = 100
+        with MicroBatcher(vote, max_batch=64, n_workers=1,
+                          max_queue_depth=256) as batcher:
+            lead = batcher.submit(np.full((1, 2), -1.0))
+            assert vote.entered.wait(5.0)
+            # A shed submit would raise ShedRequest here; the burst fits
+            # under the watermark, so every request is queued.
+            burst = [batcher.submit(np.full((1, 2), float(k)))
+                     for k in range(n_burst)]
+            assert batcher.queue_depth() == n_burst
+            vote.release.set()
+            assert MicroBatcher.wait(lead, timeout=5.0)[0].tolist() == [-1]
+            labels = [int(MicroBatcher.wait(item, timeout=5.0)[0][0])
+                      for item in burst]
+        assert labels == list(range(n_burst))
+        assert vote.batch_rows == [1, 64, 36]
 
 
 class TestAdmissionControl:
@@ -124,8 +170,8 @@ class TestAdmissionControl:
             blocker.wait(10.0)
             return features[:, 0].astype(int), 1
 
-        batcher = MicroBatcher(classify, max_batch=1, max_wait_ms=0.0,
-                               n_workers=1, max_queue_depth=2,
+        batcher = MicroBatcher(classify, max_batch=1, n_workers=1,
+                               max_queue_depth=2,
                                shed_retry_after_s=0.25)
         batcher.start()
         try:
@@ -163,8 +209,8 @@ class TestFailurePaths:
             release.wait(10.0)
             return features[:, 0].astype(int), 1
 
-        batcher = MicroBatcher(classify, max_batch=1, max_wait_ms=0.0,
-                               n_workers=1, max_queue_depth=8)
+        batcher = MicroBatcher(classify, max_batch=1, n_workers=1,
+                               max_queue_depth=8)
         batcher.start()
         busy = batcher.submit(np.zeros((1, 2)))
         queued = batcher.submit(np.zeros((1, 2)))

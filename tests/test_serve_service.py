@@ -24,8 +24,8 @@ def frozen_and_totals():
 @pytest.fixture()
 def service(frozen_and_totals):
     frozen, _ = frozen_and_totals
-    with ProfileService(frozen, max_batch=16, max_wait_ms=2.0,
-                        n_workers=2, max_queue_depth=512) as svc:
+    with ProfileService(frozen, max_batch=16, n_workers=2,
+                        max_queue_depth=512) as svc:
         yield svc
 
 
@@ -114,9 +114,8 @@ class TestConcurrencyCorrectness:
         failures = []
         completed = [0] * n_threads
 
-        with ProfileService(frozen, max_batch=16, max_wait_ms=2.0,
-                            n_workers=4, max_queue_depth=4096,
-                            cache_size=256) as svc:
+        with ProfileService(frozen, max_batch=16, n_workers=4,
+                            max_queue_depth=4096, cache_size=256) as svc:
             client = ServeClient(svc)
             barrier = threading.Barrier(n_threads)
 
@@ -181,9 +180,8 @@ class TestHotSwap:
         failures = []
         answered = [0]
 
-        with ProfileService(frozen_a, max_batch=8, max_wait_ms=1.0,
-                            n_workers=2, max_queue_depth=4096,
-                            cache_size=512) as svc:
+        with ProfileService(frozen_a, max_batch=8, n_workers=2,
+                            max_queue_depth=4096, cache_size=512) as svc:
             client = ServeClient(svc)
 
             def traffic(seed):
@@ -246,9 +244,8 @@ class TestAdmissionControl:
             return original_vote(features)
 
         frozen.vote = slow_vote  # instance attribute shadows the method
-        with ProfileService(frozen, max_batch=1, max_wait_ms=0.0,
-                            n_workers=1, max_queue_depth=2,
-                            cache_size=0) as svc:
+        with ProfileService(frozen, max_batch=1, n_workers=1,
+                            max_queue_depth=2, cache_size=0) as svc:
             pending = [svc.submit(frozen.features[:1])]
             deadline = time.monotonic() + 5.0
             while (svc._batcher.queue_depth() > 0
