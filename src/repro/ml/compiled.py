@@ -261,28 +261,6 @@ class CompiledForest:
             ),
         }
 
-    @classmethod
-    def from_arrays(
-        cls, arrays, prefix: str = "compiled_"
-    ) -> "CompiledForest":
-        """Rebuild a compiled forest from :meth:`to_arrays` output.
-
-        Accepts any mapping supporting ``arrays[key]`` (a dict or an
-        open ``np.load`` archive).
-        """
-        shape = np.asarray(arrays[f"{prefix}shape"], dtype=np.int64)
-        return cls(
-            classes=np.asarray(arrays[f"{prefix}classes"]),
-            n_features=int(shape[0]),
-            feature=np.asarray(arrays[f"{prefix}feature"], dtype=np.int64),
-            threshold=np.asarray(arrays[f"{prefix}threshold"], dtype=float),
-            left=np.asarray(arrays[f"{prefix}left"], dtype=np.int64),
-            right=np.asarray(arrays[f"{prefix}right"], dtype=np.int64),
-            values=np.asarray(arrays[f"{prefix}values"], dtype=float),
-            roots=np.asarray(arrays[f"{prefix}roots"], dtype=np.int64),
-            max_depth=int(shape[1]),
-        )
-
 
 def compile_forest(forest: RandomForestClassifier) -> CompiledForest:
     """Stack a fitted forest's trees into one :class:`CompiledForest`.

@@ -5,6 +5,9 @@ antenna cluster based on the mobile service RSCA" and explains it with
 TreeSHAP (Section 5.1.2).  This implementation provides bootstrap
 aggregation, per-split feature subsampling, out-of-bag accuracy, and
 access to the individual fitted trees for the TreeSHAP walker.
+
+A bootstrap draw reaches its tree as integer row weights, not a copied
+matrix, and all trees share one per-column rank table of the training data.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, column_ranks
 from repro.utils.checks import check_matrix
 from repro.utils.rng import derive_seed
 
@@ -60,36 +63,34 @@ class RandomForestClassifier:
             raise ValueError(
                 f"y must be 1-D with one label per row of x; got {y.shape}"
             )
-        self.classes_ = np.unique(y)
+        self.classes_, y_codes = np.unique(y, return_inverse=True)
         self.n_features_ = x.shape[1]
         n = x.shape[0]
+        ranks = column_ranks(x)
         self.trees_ = []
         oob_votes = (
             np.zeros((n, self.classes_.size)) if compute_oob and self.bootstrap else None
         )
         for t in range(self.n_estimators):
             seed = derive_seed(self.random_state, "tree", t)
-            rng = np.random.default_rng(seed)
             if self.bootstrap:
-                sample_idx = rng.integers(0, n, size=n)
+                rng = np.random.default_rng(seed)
+                weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
             else:
-                sample_idx = np.arange(n)
+                weights = np.ones(n, dtype=np.int64)
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=seed,
             )
-            # Guard against bootstrap samples that miss a class entirely:
-            # predict_proba columns must align across trees, so fit on the
-            # global class set by appending one pseudo-sample per missing
-            # class is avoided — instead we map tree classes into the
-            # forest's class space at vote time (see predict_proba).
-            tree.fit(x[sample_idx], y[sample_idx])
+            # A bootstrap draw can miss a class; the tree then drops it
+            # from its classes_, and votes map tree classes into the
+            # forest's class space (see predict_proba).
+            tree._fit_weighted(x, ranks, y_codes, self.classes_, weights)
             self.trees_.append(tree)
             if oob_votes is not None:
-                out_of_bag = np.ones(n, dtype=bool)
-                out_of_bag[np.unique(sample_idx)] = False
+                out_of_bag = weights == 0
                 if np.any(out_of_bag):
                     proba = tree.predict_proba(x[out_of_bag])
                     cols = np.searchsorted(self.classes_, tree.classes_)

@@ -1,16 +1,24 @@
 """CART decision-tree classifier, implemented from scratch.
 
 Used as the base learner of the random-forest surrogate that the paper
-trains on the clustering labels (Section 5.1.2).  The fitted tree exposes
-flat node arrays (``children_left``, ``children_right``, ``feature``,
-``threshold``, ``value``, ``n_node_samples``) so the TreeSHAP algorithm in
-``repro.explain.treeshap`` can walk it directly.
+trains on the clustering labels (Section 5.1.2).  A tree grows one depth
+level per pass: every splittable node of the frontier is split at once, on
+integer row weights (a bootstrap draw is a count per row, not repeated
+rows), by the Gini criterion in scikit-learn's proxy form
+``Σ_c lc²/nL + Σ_c rc²/nR``, whose sums are exact in int64.  The features a node
+examines come from a keyed sampler: a pure function of the tree seed and the
+node's path from the root, so a refit is identical in any process.
+
+The fitted tree exposes flat node arrays (``children_left``,
+``children_right``, ``feature``, ``threshold``, ``value``,
+``n_node_samples``) so the TreeSHAP algorithm in ``repro.explain.treeshap``
+can walk it directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +26,9 @@ from repro.utils.checks import check_matrix
 
 #: Sentinel for leaf nodes in the flat arrays (mirrors sklearn).
 LEAF = -1
+
+#: splitmix64's increment (the 64-bit golden ratio).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass
@@ -51,33 +62,143 @@ class TreeStructure:
         return depth
 
 
-def _gini_for_splits(
-    class_counts_left: np.ndarray, class_counts_total: np.ndarray
-) -> np.ndarray:
-    """Weighted Gini impurity of every candidate split, vectorized.
+def root_key(random_state: Optional[int]) -> np.ndarray:
+    """Key of a tree's root node, shape ``(1,)``; fresh entropy for None."""
+    return np.random.SeedSequence(random_state).generate_state(1, np.uint64)
+
+
+def mix_keys(keys: np.ndarray, salts: Sequence[int]) -> np.ndarray:
+    """``splitmix64(key + γ·salt)`` for every key × salt, wrapping in uint64.
+
+    Salts 1 and 2 derive a node's left and right child keys; salts
+    ``3 .. n_features + 2`` score its features (:func:`candidate_features`).
+    """
+    z = keys[:, None] + _GAMMA * np.asarray(salts, dtype=np.uint64)[None, :]
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def candidate_features(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
+    """``(len(keys), k)`` features examined at each keyed node.
+
+    All features in column order when ``k == n_features``; otherwise the
+    ``k`` features of smallest score, in score order.
+    """
+    if k == n_features:
+        return np.tile(np.arange(n_features), (keys.size, 1))
+    scores = mix_keys(keys, np.arange(3, n_features + 3))
+    return np.argsort(scores, axis=1)[:, :k]
+
+
+def column_ranks(x: np.ndarray) -> np.ndarray:
+    """Dense rank of every entry within its column (equal values tie)."""
+    return np.column_stack([np.unique(col, return_inverse=True)[1] for col in x.T])
+
+
+def _prefix_in_pair(values: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over earlier entries of the pair starting at ``head``."""
+    before = np.cumsum(values)
+    before -= values
+    return before - before[head]
+
+
+def _level_splits(
+    x: np.ndarray,
+    ranks: np.ndarray,
+    rows: np.ndarray,
+    node: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+    min_samples_leaf: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best Gini split of every node of a level, in one pass.
 
     Args:
-        class_counts_left: (n_candidates, n_classes) counts left of each
-            candidate threshold.
-        class_counts_total: (n_classes,) counts at the node.
+        x, ranks: the training matrix and its :func:`column_ranks`.
+        rows: index into ``x`` of every row held by the nodes.
+        node, y, w: per row, its node (a row of ``counts``), class code
+            and integer weight (> 0).
+        counts: (S, C) int64 class weights per node.
+        candidates: (S, k) features examined at each node.
+        min_samples_leaf: least weight each child must hold.
 
     Returns:
-        (n_candidates,) weighted impurity (lower is better).
+        ``(split_nodes, feature, threshold)`` for the nodes that have a
+        valid split, in node order.  The winner maximises the proxy;
+        ties go to the earliest candidate slot, then the lowest boundary.
     """
-    total = class_counts_total.sum()
-    left_sizes = class_counts_left.sum(axis=1)
-    right_counts = class_counts_total[None, :] - class_counts_left
-    right_sizes = total - left_sizes
+    k = candidates.shape[1]
+    n_classes = counts.shape[1]
+    # One entry per (row, slot), grouped into "pairs" (node, slot) and
+    # ordered by value within each pair.  Ties in value need no order:
+    # a boundary only falls between distinct values.
+    pair = (node * k)[:, None] + np.arange(k)
+    rank = ranks.ravel()[(rows * ranks.shape[1])[:, None] + candidates[node]]
+    key = (pair * ranks.shape[0] + rank).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    pair = pair.ravel()[order]
+    entry_row = order // k
+    we = w[entry_row]
+    ye = y[entry_row]
+    entry_node = pair // k
+    size = key.size
+    pair_first = np.r_[True, pair[1:] != pair[:-1]]
+
+    # Weight of the entry's own class already left of it in its pair: an
+    # exclusive prefix sum within each (pair, class) group, whose running
+    # total at the group's first entry is carried forward (weights are
+    # positive, so the carried value only grows).
+    group = pair * n_classes + ye
+    by_class = np.argsort(group * size + np.arange(size))
+    grouped = group[by_class]
+    class_w = we[by_class]
+    before = np.cumsum(class_w) - class_w
+    group_first = np.r_[True, grouped[1:] != grouped[:-1]]
+    same_left = np.empty(size, dtype=np.int64)
+    same_left[by_class] = before - np.maximum.accumulate(np.where(group_first, before, 0))
+
+    # Per entry, the left child of the boundary just before it: its
+    # weight, Σlc² and Σrc².  Moving one entry from the right child to the
+    # left changes Σlc² by w(2l + w) and Σrc² by w(w - 2r), with r =
+    # tot_c - l before the move; all three are exact int64 prefix sums.
+    total = counts.ravel()[entry_node * n_classes + ye]
+    pair_head = np.flatnonzero(pair_first)
+    head = pair_head[pair]
+    n_left = _prefix_in_pair(we, head)
+    sq_left = _prefix_in_pair(we * (2 * same_left + we), head)
+    sq_right = _prefix_in_pair(we * (we - 2 * (total - same_left)), head)
+    n_right = counts.sum(axis=1)[entry_node] - n_left
+    sq_right += (counts**2).sum(axis=1)[entry_node]
+    valid = np.r_[False, key[1:] != key[:-1]] & ~pair_first
+    valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - np.sum(
-            (class_counts_left / left_sizes[:, None]) ** 2, axis=1
-        )
-        gini_right = 1.0 - np.sum(
-            (right_counts / right_sizes[:, None]) ** 2, axis=1
-        )
-    gini_left = np.where(left_sizes > 0, gini_left, 0.0)
-    gini_right = np.where(right_sizes > 0, gini_right, 0.0)
-    return (left_sizes * gini_left + right_sizes * gini_right) / total
+        proxy = np.where(valid, sq_left / n_left + sq_right / n_right, -np.inf)
+
+    node_head = pair_head[::k]
+    best = np.maximum.reduceat(proxy, node_head)
+    win = np.minimum.reduceat(
+        np.where(proxy == best[entry_node], np.arange(size), size), node_head
+    )
+    split_nodes = np.flatnonzero(best > -np.inf)
+    win = win[split_nodes]
+    feature = candidates[split_nodes, pair[win] % k]
+    below = x[rows[entry_row[win - 1]], feature]
+    above = x[rows[entry_row[win]], feature]
+    return split_nodes, feature, 0.5 * (below + above)
+
+
+def _restrict(
+    rows: np.ndarray, node: np.ndarray, kept: np.ndarray, n_nodes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of the ``kept`` nodes, with those nodes renumbered ``0..``."""
+    slot = np.full(n_nodes, -1)
+    slot[kept] = np.arange(kept.size)
+    held = slot[node] >= 0
+    return rows[held], slot[node[held]]
 
 
 class DecisionTreeClassifier:
@@ -89,7 +210,7 @@ class DecisionTreeClassifier:
         min_samples_leaf: minimum samples required in each child.
         max_features: number of features examined per split; ``"sqrt"``
             (the random-forest default), an int, or None for all features.
-        random_state: seed for per-split feature subsampling.
+        random_state: seed of the keyed per-node feature sampler.
     """
 
     def __init__(
@@ -132,57 +253,6 @@ class DecisionTreeClassifier:
             return int(self.max_features)
         raise ValueError(f"unsupported max_features {self.max_features!r}")
 
-    def _best_split(
-        self,
-        x: np.ndarray,
-        y_codes: np.ndarray,
-        sample_idx: np.ndarray,
-        feature_candidates: np.ndarray,
-        n_classes: int,
-    ) -> Optional[Tuple[int, float, np.ndarray]]:
-        """Search candidate features for the impurity-minimizing split.
-
-        Returns ``(feature, threshold, left_mask_over_sample_idx)`` or None
-        when no valid split exists.
-        """
-        node_y = y_codes[sample_idx]
-        counts_total = np.bincount(node_y, minlength=n_classes).astype(float)
-        best: Optional[Tuple[float, int, float]] = None
-        for feat in feature_candidates:
-            values = x[sample_idx, feat]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            sorted_y = node_y[order]
-            # Candidate boundaries: positions where the value changes.
-            change = np.flatnonzero(np.diff(sorted_values)) + 1
-            if change.size == 0:
-                continue
-            onehot = np.zeros((sorted_y.size, n_classes))
-            onehot[np.arange(sorted_y.size), sorted_y] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            left_counts = cum[change - 1]
-            left_sizes = change
-            right_sizes = sorted_y.size - left_sizes
-            valid = (left_sizes >= self.min_samples_leaf) & (
-                right_sizes >= self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-            impurity = _gini_for_splits(left_counts, counts_total)
-            impurity = np.where(valid, impurity, np.inf)
-            pos = int(np.argmin(impurity))
-            if not np.isfinite(impurity[pos]):
-                continue
-            boundary = change[pos]
-            threshold = 0.5 * (sorted_values[boundary - 1] + sorted_values[boundary])
-            if best is None or impurity[pos] < best[0]:
-                best = (float(impurity[pos]), int(feat), float(threshold))
-        if best is None:
-            return None
-        _, feat, threshold = best
-        left_mask = x[sample_idx, feat] <= threshold
-        return feat, threshold, left_mask
-
     def fit(self, x, y) -> "DecisionTreeClassifier":
         """Fit the tree on features ``x`` (N x M) and labels ``y`` (N)."""
         x = check_matrix(x, "x")
@@ -191,68 +261,85 @@ class DecisionTreeClassifier:
             raise ValueError(
                 f"y must be 1-D with one label per row of x; got {y.shape}"
             )
-        self.classes_, y_codes = np.unique(y, return_inverse=True)
-        n_classes = self.classes_.size
+        classes, y_codes = np.unique(y, return_inverse=True)
+        weights = np.ones(x.shape[0], dtype=np.int64)
+        return self._fit_weighted(x, column_ranks(x), y_codes, classes, weights)
+
+    def _fit_weighted(
+        self,
+        x: np.ndarray,
+        ranks: np.ndarray,
+        y_codes: np.ndarray,
+        classes: np.ndarray,
+        weights: np.ndarray,
+    ) -> "DecisionTreeClassifier":
+        """Grow the tree level by level on rows weighted by integer counts.
+
+        ``ranks`` is :func:`column_ranks` of ``x`` and ``y_codes`` indexes
+        ``classes``.  Zero-weight rows take no part, and classes they alone
+        carry are dropped from ``classes_``.  Node sizes, ``min_samples_*``
+        and ``n_node_samples`` count weight, so weight ``w`` on a row
+        grows the tree that ``w`` copies of it would.
+        """
+        k = self._resolve_max_features(x.shape[1])
+        present = np.bincount(y_codes, weights=weights, minlength=classes.size) > 0
+        self.classes_ = classes[present]
         self.n_features_ = x.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        n_subfeatures = self._resolve_max_features(x.shape[1])
+        n_classes = self.classes_.size
+        y = (np.cumsum(present) - 1)[y_codes]
 
-        children_left: List[int] = []
-        children_right: List[int] = []
-        feature: List[int] = []
-        threshold: List[float] = []
-        value: List[np.ndarray] = []
-        n_node_samples: List[int] = []
+        parts: List[Tuple[np.ndarray, ...]] = []
+        rows = np.flatnonzero(weights)
+        node = np.zeros(rows.size, dtype=np.int64)
+        keys = root_key(self.random_state)
+        base = 0  # id of the level's first node
+        while keys.size:
+            width = keys.size
+            counts = np.bincount(
+                node * n_classes + y[rows], weights=weights[rows],
+                minlength=width * n_classes,
+            ).reshape(width, n_classes)
+            sizes = counts.sum(axis=1)
+            left = np.full(width, LEAF, dtype=np.int64)
+            feature = np.full(width, LEAF, dtype=np.int64)
+            threshold = np.zeros(width)
+            parts.append((left, feature, threshold, counts / sizes[:, None], sizes))
+            if self.max_depth is not None and len(parts) > self.max_depth:
+                break
+            splittable = np.flatnonzero(
+                (sizes >= self.min_samples_split) & (np.count_nonzero(counts, axis=1) > 1)
+            )
+            if splittable.size == 0:
+                break
+            rows, node = _restrict(rows, node, splittable, width)
+            split, split_feature, split_threshold = _level_splits(
+                x, ranks, rows, node, y[rows], weights[rows],
+                counts[splittable].astype(np.int64),
+                candidate_features(keys[splittable], x.shape[1], k),
+                self.min_samples_leaf,
+            )
+            if split.size == 0:
+                break
+            split_ids = splittable[split]
+            left[split_ids] = base + width + 2 * np.arange(split.size)
+            feature[split_ids] = split_feature
+            threshold[split_ids] = split_threshold
+            # Route rows by value, as prediction will: a midpoint can round
+            # up to the upper boundary value.
+            rows, node = _restrict(rows, node, split, splittable.size)
+            goes_right = x[rows, split_feature[node]] > split_threshold[node]
+            node = 2 * node + goes_right
+            keys = mix_keys(keys[split_ids], (1, 2)).ravel()
+            base += width
 
-        def new_node(sample_idx: np.ndarray) -> int:
-            node_id = len(children_left)
-            children_left.append(LEAF)
-            children_right.append(LEAF)
-            feature.append(LEAF)
-            threshold.append(0.0)
-            counts = np.bincount(y_codes[sample_idx], minlength=n_classes).astype(float)
-            value.append(counts / counts.sum())
-            n_node_samples.append(int(sample_idx.size))
-            return node_id
-
-        # Iterative depth-first growth.
-        root_idx = np.arange(x.shape[0])
-        stack: List[Tuple[int, np.ndarray, int]] = [(new_node(root_idx), root_idx, 0)]
-        while stack:
-            node_id, sample_idx, depth = stack.pop()
-            node_y = y_codes[sample_idx]
-            if (
-                sample_idx.size < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(node_y == node_y[0])
-            ):
-                continue
-            if n_subfeatures < x.shape[1]:
-                candidates = rng.choice(x.shape[1], size=n_subfeatures, replace=False)
-            else:
-                candidates = np.arange(x.shape[1])
-            split = self._best_split(x, y_codes, sample_idx, candidates, n_classes)
-            if split is None:
-                continue
-            feat, thresh, left_mask = split
-            left_idx = sample_idx[left_mask]
-            right_idx = sample_idx[~left_mask]
-            left_id = new_node(left_idx)
-            right_id = new_node(right_idx)
-            children_left[node_id] = left_id
-            children_right[node_id] = right_id
-            feature[node_id] = feat
-            threshold[node_id] = thresh
-            stack.append((left_id, left_idx, depth + 1))
-            stack.append((right_id, right_idx, depth + 1))
-
+        left, feature, threshold, value, sizes = (np.concatenate(a) for a in zip(*parts))
         self.tree_ = TreeStructure(
-            children_left=np.array(children_left, dtype=np.int64),
-            children_right=np.array(children_right, dtype=np.int64),
-            feature=np.array(feature, dtype=np.int64),
-            threshold=np.array(threshold, dtype=float),
-            value=np.vstack(value),
-            n_node_samples=np.array(n_node_samples, dtype=np.int64),
+            children_left=left,
+            children_right=np.where(left == LEAF, LEAF, left + 1),
+            feature=feature,
+            threshold=threshold,
+            value=value,
+            n_node_samples=sizes.astype(np.int64),
         )
         return self
 

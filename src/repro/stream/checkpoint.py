@@ -215,7 +215,9 @@ def _load_state_validated(path) -> Dict[str, object]:
     except CheckpointCorrupt:
         raise
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError,
-            ValueError) as exc:
+            ValueError, NotImplementedError) as exc:
+        # zipfile raises NotImplementedError for a damaged central
+        # directory entry that reads as an unsupported zip version.
         raise CheckpointCorrupt(
             path, f"unreadable archive ({type(exc).__name__}: {exc})"
         ) from exc

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.rca import reference_rsca
 from repro.ml.compiled import CompiledForest, FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
+from repro.relia.errors import CheckpointCorrupt
 from repro.utils.checks import check_matrix
 
 #: Forest constructor arguments captured in the artifact.
@@ -177,8 +178,8 @@ class FrozenProfile:
 
         Alongside the training data and forest hyper-parameters, the
         archive embeds the array-compiled surrogate (flat ``compiled_*``
-        vectors) so :meth:`load` can stand the batch kernel up without
-        waiting for the object-forest refit to validate it.
+        vectors) so :meth:`load` can check that its refit reproduces the
+        kernel that was frozen.
         """
         params: Dict[str, object] = {
             name: getattr(self.surrogate, name) for name in _FOREST_PARAMS
@@ -207,10 +208,15 @@ class FrozenProfile:
         """Load an artifact, refitting the deterministic surrogate.
 
         Archives written by this version carry the compiled forest's
-        flat arrays; they are restored directly, so the batch kernel is
-        exactly the one measured and committed at freeze time.  Older
-        archives without ``compiled_*`` arrays still load — the compiled
-        forest is then rebuilt lazily from the refitted surrogate.
+        flat arrays.  They must equal the compiled refit, so the served
+        kernel, :meth:`vote` and TreeSHAP all describe one forest.  Older
+        archives without ``compiled_*`` arrays still load; the kernel is
+        then compiled from the refit on first use.
+
+        Raises:
+            CheckpointCorrupt: when the stored kernel differs from the
+                refit forest's, as in an archive frozen by a version that
+                grew its trees differently; re-freeze it from the profile.
         """
         with np.load(Path(path), allow_pickle=False) as archive:
             features = np.asarray(archive["features"], dtype=float)
@@ -223,16 +229,28 @@ class FrozenProfile:
                 if "service_totals" in archive.files
                 else None
             )
-            compiled = (
-                CompiledForest.from_arrays(archive)
-                if "compiled_roots" in archive.files
-                else None
-            )
+            stored = {
+                key: archive[key] for key in archive.files
+                if key.startswith("compiled_")
+            }
             meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
         params = dict(meta["surrogate_params"])
         # JSON round-trips "sqrt"/ints/None for max_features untouched.
         surrogate = RandomForestClassifier(**params)
         surrogate.fit(features, labels)
+        compiled = None
+        if stored:
+            compiled = surrogate.compile()
+            fresh = compiled.to_arrays()
+            if stored.keys() != fresh.keys() or not all(
+                np.array_equal(stored[key], fresh[key], equal_nan=True)
+                for key in fresh
+            ):
+                raise CheckpointCorrupt(
+                    path,
+                    "stored compiled surrogate differs from the refit forest; "
+                    "re-freeze the artifact from its profile",
+                )
         return cls(
             features=features,
             labels=labels,

@@ -6,6 +6,8 @@ tolerances — what the object forest produces, across direct calls,
 ``.npz`` round-trips, and randomly fitted forests (hypothesis).
 """
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.ml.bench import format_forest_report, run_forest_benchmark
 from repro.ml.compiled import (
-    CompiledForest,
     FusedProfileKernel,
     compile_forest,
     compile_tree,
@@ -23,6 +24,7 @@ from repro.ml.compiled import (
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import LEAF, DecisionTreeClassifier
+from repro.relia.errors import CheckpointCorrupt
 from repro.stream.frozen import FrozenProfile
 
 from tests.conftest import build_frozen_profile
@@ -128,24 +130,12 @@ class TestCompiledForest:
         with pytest.raises(ValueError):
             compiled.predict_proba(poisoned)
 
-    def test_array_roundtrip_bit_identical(self):
-        forest, queries = fitted_forest()
-        compiled = forest.compile()
-        restored = CompiledForest.from_arrays(compiled.to_arrays())
-        assert np.array_equal(
-            restored.predict_proba(queries), compiled.predict_proba(queries)
-        )
-        assert restored.max_depth == compiled.max_depth
-        assert restored.n_features == compiled.n_features
-
     def test_compiled_equivalent_detects_tampering(self):
         forest, queries = fitted_forest()
         compiled = forest.compile()
         ok, detail = compiled_equivalent(forest, compiled, queries)
         assert ok and detail == "bit-identical"
-        arrays = compiled.to_arrays()
-        arrays["compiled_values"] = arrays["compiled_values"] * 1.01
-        tampered = CompiledForest.from_arrays(arrays)
+        tampered = dataclasses.replace(compiled, values=compiled.values * 1.01)
         ok, detail = compiled_equivalent(forest, tampered, queries)
         assert not ok
         assert "differs" in detail
@@ -217,7 +207,7 @@ class TestFrozenProfileEmbedding:
                 "compiled_right", "compiled_values", "compiled_roots",
                 "compiled_classes", "compiled_shape"} <= names
 
-    def test_load_restores_compiled_without_recompiling(
+    def test_load_restores_the_verified_compiled_forest(
         self, tiny_frozen, tmp_path
     ):
         frozen, _totals = tiny_frozen
@@ -229,6 +219,25 @@ class TestFrozenProfileEmbedding:
         assert np.array_equal(
             loaded.kernel().vote(queries), frozen.vote(queries)
         )
+
+    def test_stale_compiled_arrays_are_rejected(self, tiny_frozen, tmp_path):
+        # An archive whose kernel came from another forest (as one frozen
+        # by a version that grew trees differently) must not load: the
+        # served kernel would disagree with vote() and TreeSHAP.
+        frozen, _totals = tiny_frozen
+        path = tmp_path / "frozen.npz"
+        frozen.save(path)
+        other = copy.copy(frozen.surrogate)
+        other.random_state += 1
+        other.fit(frozen.features, frozen.labels)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays.update(other.compile().to_arrays())
+        stale = tmp_path / "stale.npz"
+        np.savez_compressed(stale, **arrays)
+        with pytest.raises(CheckpointCorrupt, match="re-freeze") as excinfo:
+            FrozenProfile.load(stale)
+        assert excinfo.value.path == str(stale)
 
     def test_legacy_archive_without_compiled_arrays(
         self, tiny_frozen, tmp_path
@@ -384,9 +393,8 @@ class TestForestBenchHarness:
     def test_refuses_non_identical_kernel(self):
         frozen, _totals = build_frozen_profile(n_antennas=60, n_services=6,
                                                n_clusters=3)
-        arrays = frozen.compiled_forest().to_arrays()
-        arrays["compiled_values"] = arrays["compiled_values"] * 2.0
-        frozen.compiled = CompiledForest.from_arrays(arrays)
+        compiled = frozen.compiled_forest()
+        frozen.compiled = dataclasses.replace(compiled, values=compiled.values * 2.0)
         frozen._kernel = None  # drop any cached kernel
         with pytest.raises(RuntimeError, match="bit-identical"):
             run_forest_benchmark(frozen, n_queries=16, batch_sizes=(4,),

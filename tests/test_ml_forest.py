@@ -1,10 +1,17 @@
 """Tests for the bagged random-forest classifier."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.ml.forest import RandomForestClassifier
 
 
@@ -53,6 +60,40 @@ class TestFit:
             t0.n_nodes != t1.n_nodes
             or not np.array_equal(t0.threshold, t1.threshold)
         )
+
+    def test_refit_is_identical_in_any_process(self, tmp_path):
+        # FrozenProfile.load relies on a refit reproducing the frozen
+        # forest, so the keyed sampler must not depend on the process
+        # (hash randomization included).
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from repro.ml.forest import RandomForestClassifier
+            gen = np.random.default_rng(0)
+            x = gen.integers(0, 6, size=(150, 9)).astype(float)
+            y = gen.integers(0, 4, size=150)
+            forest = RandomForestClassifier(n_estimators=6, random_state=11)
+            forest.fit(x, y)
+            np.savez(sys.argv[1], **{
+                f"{t}.{name}": getattr(tree.tree_, name)
+                for t, tree in enumerate(forest.trees_)
+                for name in ("children_left", "children_right", "feature",
+                             "threshold", "value", "n_node_samples")
+            })
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        fits = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"forest_{hash_seed}.npz"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-c", script, str(out)],
+                           env=env, check=True, timeout=120)
+            with np.load(out) as arrays:
+                fits.append({name: arrays[name] for name in arrays.files})
+        first, second = fits
+        assert first.keys() == second.keys() and first
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name])
 
     def test_oob_score(self, data):
         x, y = data

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ml.tree import LEAF, DecisionTreeClassifier
+from repro.ml.tree import LEAF, DecisionTreeClassifier, column_ranks
+from repro.utils.rng import derive_seed
+
+from tests.cart_oracle import assert_matches_oracle
 
 
 @pytest.fixture()
@@ -83,6 +88,71 @@ class TestFit:
         b = DecisionTreeClassifier(max_features="sqrt", random_state=7).fit(x, y)
         np.testing.assert_array_equal(a.tree_.feature, b.tree_.feature)
         np.testing.assert_array_equal(a.tree_.threshold, b.tree_.threshold)
+
+
+class TestMatchesOracle:
+    """The level-wise grower equals the depth-first oracle node for node."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(1, 40),
+           n_features=st.integers(1, 5),
+           n_classes=st.integers(1, 4),
+           levels=st.integers(1, 6),
+           constant_first=st.booleans(),
+           weighted=st.booleans(),
+           max_depth=st.sampled_from([None, 1, 2, 4]),
+           min_samples_leaf=st.integers(1, 3),
+           min_samples_split=st.integers(2, 7),
+           max_features=st.sampled_from([None, "sqrt", 1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_inputs(self, seed, n_rows, n_features, n_classes,
+                               levels, constant_first, weighted, max_depth,
+                               min_samples_leaf, min_samples_split,
+                               max_features):
+        gen = np.random.default_rng(seed)
+        # Few distinct values per column make ties within every node.
+        x = gen.integers(0, levels, size=(n_rows, n_features)) / levels
+        if constant_first:
+            x[:, 0] = 0.5
+        y = gen.integers(0, n_classes, size=n_rows) * 3 + 1
+        if isinstance(max_features, int):
+            max_features = min(max_features, n_features)
+        tree = DecisionTreeClassifier(
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split, max_features=max_features,
+            random_state=seed,
+        )
+        if weighted:
+            # Bootstrap-like counts: zeros, repeats, and a class that may
+            # vanish entirely.
+            weights = gen.integers(0, 4, size=n_rows)
+            weights[gen.integers(n_rows)] += 1
+            classes, codes = np.unique(y, return_inverse=True)
+            tree._fit_weighted(x, column_ranks(x), codes, classes, weights)
+            assert_matches_oracle(tree, np.repeat(x, weights, axis=0),
+                                  np.repeat(y, weights))
+        else:
+            tree.fit(x, y)
+            assert_matches_oracle(tree, x, y)
+
+    def test_unbounded_depth_on_continuous_features(self, rng):
+        x = rng.normal(size=(400, 12))
+        y = rng.integers(0, 5, size=400)
+        tree = DecisionTreeClassifier(max_features="sqrt", random_state=5)
+        tree.fit(x, y)
+        assert tree.tree_.max_depth() > 6
+        assert_matches_oracle(tree, x, y)
+
+    def test_every_tree_of_the_paper_fit(self, full_profile):
+        forest = full_profile.surrogate
+        x, y = full_profile.features, full_profile.labels
+        n = x.shape[0]
+        assert len(forest.trees_) == 100
+        for t, tree in enumerate(forest.trees_):
+            draw = np.random.default_rng(derive_seed(forest.random_state, "tree", t))
+            weights = np.bincount(draw.integers(0, n, size=n), minlength=n)
+            assert_matches_oracle(tree, np.repeat(x, weights, axis=0),
+                                  np.repeat(y, weights))
 
 
 class TestPredict:

@@ -91,6 +91,39 @@ def test_bit_flip_fails_the_crc_check(tmp_path):
         load_state(path)
 
 
+def assert_bit_identical(state, expected):
+    assert set(state) == set(expected)
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert state[key].dtype == value.dtype
+            assert state[key].shape == value.shape
+            assert state[key].tobytes() == value.tobytes()
+        else:
+            assert type(state[key]) is type(value) and state[key] == value
+
+
+def test_every_byte_flip_and_truncation_loads_exactly_or_rolls_back(tmp_path):
+    # Every single-byte flip and every truncation of the checkpoint either
+    # changes nothing the loader returns or surfaces as CheckpointCorrupt,
+    # which rollback answers with the backup; no other exception escapes.
+    previous = {"v": 1}
+    path = write_checkpoint(tmp_path, previous, name="sweep")
+    save_state(path, STATE)
+    blob = path.read_bytes()
+    corruptions = [blob[:length] for length in range(len(blob))]
+    for offset in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[offset] ^= 0xFF
+        corruptions.append(bytes(flipped))
+    for corrupt in corruptions:
+        path.write_bytes(corrupt)
+        state, rolled_back = load_state_with_rollback(path)
+        if rolled_back:
+            assert state == previous
+        else:
+            assert_bit_identical(state, STATE)
+
+
 def test_garbage_file_raises_checkpoint_corrupt(tmp_path):
     path = tmp_path / "garbage.npz"
     path.write_bytes(b"this was never an archive")
