@@ -40,7 +40,10 @@ def main():
     best_k = scan.best_k("silhouette")
     print(f"\nselected k = {best_k} (high silhouette followed by a drop)")
 
-    profile = ICNProfiler(n_clusters=best_k, surrogate_trees=50).fit(dataset)
+    # The Ward tree does not depend on k: the same profiler reuses the
+    # scan's clustering and only cuts it at the chosen k.
+    profiler.n_clusters = best_k
+    profile = profiler.fit(dataset)
     print()
     print(profile.summary())
 

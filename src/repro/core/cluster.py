@@ -11,7 +11,7 @@ dendrogram tree (Fig. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,11 +38,16 @@ def pairwise_distances(
     n = x.shape[0]
     sq_norms = np.einsum("ij,ij->i", x, x)
     out = np.empty((n, n))
+    products = np.empty((min(chunk_size, n), n))
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        block = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (x[start:stop] @ x.T)
+        # (|a|^2 + |b|^2) - 2ab, written into ``out`` in that order.
+        block, twice = out[start:stop], products[: stop - start]
+        np.matmul(x[start:stop], x.T, out=twice)
+        twice *= 2.0
+        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=block)
+        block -= twice
         np.maximum(block, 0.0, out=block)
-        out[start:stop] = block
     np.fill_diagonal(out, 0.0)
     if not squared:
         np.sqrt(out, out=out)
@@ -193,36 +198,9 @@ def linkage(features: np.ndarray, method: str = "ward") -> np.ndarray:
 def cut_tree(linkage_matrix: np.ndarray, n_clusters: int) -> np.ndarray:
     """Flat cluster labels obtained by undoing the top merges.
 
-    Labels are 0..k-1, assigned in order of first appearance, so they are
-    deterministic but arbitrary (align with
-    :func:`repro.utils.align_labels` for paper numbering).
+    The one-k case of :meth:`Dendrogram.cuts`.
     """
-    z = np.asarray(linkage_matrix, dtype=float)
-    n = z.shape[0] + 1
-    if not 1 <= n_clusters <= n:
-        raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    parent = np.arange(2 * n - 1)
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    for t in range(n - n_clusters):
-        new_id = n + t
-        parent[int(z[t, 0])] = new_id
-        parent[int(z[t, 1])] = new_id
-    roots: Dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for leaf in range(n):
-        root = find(leaf)
-        if root not in roots:
-            roots[root] = len(roots)
-        labels[leaf] = roots[root]
-    return labels
+    return Dendrogram(linkage_matrix).cuts([n_clusters])[n_clusters]
 
 
 def threshold_for_k(linkage_matrix: np.ndarray, n_clusters: int) -> float:
@@ -314,9 +292,35 @@ class Dendrogram:
         self.root = nodes[2 * self.n_leaves - 2]
         self._nodes = nodes
 
+    def cuts(self, ks: Iterable[int]) -> Dict[int, np.ndarray]:
+        """Flat labels for every k in ``ks``, in one sweep over the merges.
+
+        Each leaf climbs to its root among the first N - k merges by pointer
+        jumping; labels are 0..k-1 in order of first appearance (align with
+        :func:`repro.utils.align_labels` for paper numbering).
+        """
+        n = self.n_leaves
+        ks = [int(k) for k in ks]
+        for k in ks:
+            if not 1 <= k <= n:
+                raise ValueError(f"n_clusters must be in [1, {n}], got {k}")
+        nodes = np.arange(2 * n - 1)
+        parent = nodes.copy()
+        parent[self.linkage_matrix[:, :2].astype(np.intp).ravel()] = np.repeat(nodes[n:], 2)
+        # Merge row t creates node N + t; cutting at k keeps rows t < N - k.
+        roots = np.where(parent < 2 * n - np.array(ks, dtype=np.intp)[:, None], parent, nodes)
+        jumped = np.take_along_axis(roots, roots, axis=1)
+        while not np.array_equal(jumped, roots):
+            roots, jumped = jumped, np.take_along_axis(jumped, jumped, axis=1)
+        out: Dict[int, np.ndarray] = {}
+        for k, leaf_roots in zip(ks, roots[:, :n]):
+            _, first, codes = np.unique(leaf_roots, return_index=True, return_inverse=True)
+            out[k] = np.argsort(np.argsort(first))[codes]
+        return out
+
     def cut(self, n_clusters: int) -> np.ndarray:
-        """Flat labels for ``n_clusters`` clusters (see :func:`cut_tree`)."""
-        return cut_tree(self.linkage_matrix, n_clusters)
+        """Flat labels for ``n_clusters`` clusters (see :meth:`cuts`)."""
+        return self.cuts([n_clusters])[n_clusters]
 
     def threshold_for(self, n_clusters: int) -> float:
         """Cut height yielding ``n_clusters`` clusters."""
@@ -346,8 +350,8 @@ class Dendrogram:
         of the three dendrogram branches (orange/green/red) each of the nine
         clusters belongs to.
         """
-        fine = self.cut(n_clusters)
-        coarse = self.cut(n_groups)
+        cuts = self.cuts([n_clusters, n_groups])
+        fine, coarse = cuts[n_clusters], cuts[n_groups]
         mapping: Dict[int, int] = {}
         for fine_label in np.unique(fine):
             members = np.flatnonzero(fine == fine_label)
@@ -380,8 +384,12 @@ class AgglomerativeClustering:
 
     def fit(self, features: np.ndarray) -> "AgglomerativeClustering":
         """Cluster the rows of ``features``; fills the fitted attributes."""
-        self.linkage_matrix_ = linkage(features, self.linkage)
-        self.dendrogram_ = Dendrogram(self.linkage_matrix_)
+        return self._from_linkage(linkage(features, self.linkage))
+
+    def _from_linkage(self, linkage_matrix: np.ndarray) -> "AgglomerativeClustering":
+        """Fill the fitted attributes from a linkage matrix of this criterion."""
+        self.linkage_matrix_ = linkage_matrix
+        self.dendrogram_ = Dendrogram(linkage_matrix)
         self.labels_ = self.dendrogram_.cut(self.n_clusters)
         return self
 

@@ -10,7 +10,7 @@ examples and benchmarks can regenerate each figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -275,6 +275,21 @@ class ICNProfiler:
         self.surrogate_trees = surrogate_trees
         self.surrogate_max_depth = surrogate_max_depth
         self.random_state = random_state
+        # (linkage, RSCA matrix, linkage matrix) of the last Ward run.
+        self._last_ward: Optional[Tuple[str, np.ndarray, np.ndarray]] = None
+
+    def _cluster(self, features: np.ndarray, n_clusters: int) -> AgglomerativeClustering:
+        """The clustering of ``features``, reusing the last run's linkage
+        when the criterion and the matrix content are unchanged."""
+        clustering = AgglomerativeClustering(n_clusters=n_clusters, linkage=self.linkage)
+        last = self._last_ward
+        if (last is not None and last[0] == self.linkage
+                and np.array_equal(last[1], features)):
+            return clustering._from_linkage(last[2].copy())
+        clustering.fit(features)
+        self._last_ward = (self.linkage, features.copy(),
+                           clustering.linkage_matrix_.copy())
+        return clustering
 
     def fit(
         self,
@@ -314,10 +329,8 @@ class ICNProfiler:
             features = rsca(totals)
         with timed_stage("pipeline.cluster",
                          n_clusters=self.n_clusters, linkage=self.linkage):
-            clustering = AgglomerativeClustering(
-                n_clusters=self.n_clusters, linkage=self.linkage
-            )
-            labels = clustering.fit_predict(features)
+            clustering = self._cluster(features, self.n_clusters)
+            labels = clustering.labels_
             if align_to is not None:
                 labels = _aligned_labels(labels, align_to)
         with timed_stage("pipeline.surrogate",
@@ -344,9 +357,7 @@ class ICNProfiler:
         data: Union[TrafficDataset, np.ndarray],
         ks: Sequence[int] = range(2, 16),
     ) -> KScanResult:
-        """Fig. 2: validity indices over candidate k for this data."""
+        """Fig. 2: validity indices over candidate k (a later fit reuses its Ward)."""
         totals = data.totals if isinstance(data, TrafficDataset) else data
         features = rsca(totals)
-        clustering = AgglomerativeClustering(n_clusters=2, linkage=self.linkage)
-        clustering.fit(features)
-        return scan_k(features, clustering.dendrogram_, ks=ks)
+        return scan_k(features, self._cluster(features, 2).dendrogram_, ks=ks)

@@ -292,18 +292,12 @@ def gap_statistic(
         from repro.core.cluster import AgglomerativeClustering
 
         model = AgglomerativeClustering(n_clusters=2).fit(reference)
-        for k in ks:
-            labels = model.dendrogram_.cut(int(k))
-            reference_dispersions[int(k)].append(
-                log_dispersion(reference, labels)
-            )
+        for k, labels in model.dendrogram_.cuts(ks).items():
+            reference_dispersions[k].append(log_dispersion(reference, labels))
     gaps: Dict[int, float] = {}
-    for k in ks:
-        labels = dendrogram.cut(int(k))
+    for k, labels in dendrogram.cuts(ks).items():
         observed = log_dispersion(x, labels)
-        gaps[int(k)] = float(
-            np.mean(reference_dispersions[int(k)]) - observed
-        )
+        gaps[k] = float(np.mean(reference_dispersions[k]) - observed)
     return gaps
 
 
@@ -329,13 +323,14 @@ def scan_k(
     if not ks:
         return result
     distances = pairwise_distances(x)
-    fine, fine_counts = _codes(dendrogram.cut(max(ks)))
+    cuts = dendrogram.cuts(ks)
+    fine, fine_counts = _codes(cuts[max(ks)])
     n_fine = fine_counts.size
     fine_sums = _column_sums(distances, fine, n_fine)
     fine_min, fine_max = _block_extremes(distances, fine, n_fine)
     first_of_fine = np.unique(fine, return_index=True)[1]
     for k in ks:
-        _, lab = _validate_labels(x, dendrogram.cut(k))
+        _, lab = _validate_labels(x, cuts[k])
         codes, counts = _codes(lab)
         merge = codes[first_of_fine]  # coarse cluster of each fine cluster
         block_min = np.full((counts.size, counts.size), np.inf)

@@ -18,6 +18,7 @@ from repro.core.cluster import (
     threshold_for_k,
 )
 from repro.core.rca import rsca
+from tests import cluster_oracle
 
 scipy_hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
 
@@ -56,6 +57,19 @@ class TestPairwiseDistances:
     def test_zero_diagonal(self, rng):
         x = rng.normal(size=(15, 3))
         assert np.all(np.diag(pairwise_distances(x)) == 0)
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_bit_identical_to_oracle(self, rng, n, squared):
+        # Chunk edges at the default 512 rows: one short, exact, one over.
+        x = rng.normal(size=(n, 9))
+        assert np.array_equal(pairwise_distances(x, squared=squared),
+                              cluster_oracle.pairwise_distances(x, squared=squared))
+
+    def test_bit_identical_to_oracle_at_paper_scale(self, full_dataset):
+        x = rsca(full_dataset.totals)
+        assert np.array_equal(pairwise_distances(x, squared=True),
+                              cluster_oracle.pairwise_distances(x, squared=True))
 
 
 class TestLinkageVsScipy:
@@ -173,6 +187,40 @@ class TestCutTree:
             for label in np.unique(fine):
                 members = coarse[fine == label]
                 assert np.unique(members).size == 1
+
+
+class TestCutsMatchOracle:
+    def test_every_k_on_ties(self):
+        # Duplicate rows merge at height 0 in an arbitrary but fixed order.
+        x = np.repeat(np.arange(6.0)[:, None], 3, axis=0)
+        z = linkage(x, "ward")
+        cuts = Dendrogram(z).cuts(range(1, 19))
+        for k, labels in cuts.items():
+            assert np.array_equal(labels, cluster_oracle.cut_tree(z, k)), k
+
+    def test_paper_fit(self, full_profile):
+        dendrogram = full_profile.dendrogram
+        n = dendrogram.n_leaves
+        ks = [*range(1, 41), n // 2, n - 1, n]
+        cuts = dendrogram.cuts(ks)
+        assert list(cuts) == ks
+        for k in ks:
+            expected = cluster_oracle.cut_tree(dendrogram.linkage_matrix, k)
+            assert np.array_equal(cuts[k], expected), k
+            assert cuts[k].dtype == expected.dtype
+
+    def test_cut_tree_is_the_one_k_case(self, rng):
+        z = linkage(rng.normal(size=(30, 3)), "average")
+        cuts = Dendrogram(z).cuts([7, 2])
+        assert np.array_equal(cut_tree(z, 7), cuts[7])
+        assert np.array_equal(cut_tree(z, 2), cuts[2])
+
+    def test_out_of_range_k_rejected(self, rng):
+        dendrogram = Dendrogram(linkage(rng.normal(size=(8, 2)), "ward"))
+        for bad in (0, 9):
+            with pytest.raises(ValueError, match=r"n_clusters must be in \[1, 8\]"):
+                dendrogram.cuts([3, bad])
+        assert dendrogram.cuts([]) == {}
 
 
 class TestThreshold:

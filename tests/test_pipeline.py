@@ -185,6 +185,97 @@ class TestScan:
         assert 9 in silhouette_peaks | dunn_peaks
 
 
+class TestWardOncePerProfiler:
+    """Scan-then-fit on one profiler and the same data runs Ward once."""
+
+    @pytest.fixture()
+    def ward_calls(self, monkeypatch):
+        import repro.core.cluster as cluster
+
+        calls = []
+        real = cluster.linkage
+
+        def counting(features, method="ward"):
+            calls.append(method)
+            return real(features, method)
+
+        monkeypatch.setattr(cluster, "linkage", counting)
+        return calls
+
+    def test_scan_then_fit_runs_ward_once(self, small_dataset, ward_calls):
+        profiler = ICNProfiler(n_clusters=9, surrogate_trees=5)
+        profiler.scan_cluster_counts(small_dataset, ks=range(2, 12))
+        profiler.fit(small_dataset, align_to=small_dataset.archetypes())
+        assert ward_calls == ["ward"]
+
+    def test_reused_fit_equals_fresh_fit(self, small_dataset):
+        arch = small_dataset.archetypes()
+        profiler = ICNProfiler(n_clusters=9, surrogate_trees=5)
+        profiler.scan_cluster_counts(small_dataset, ks=[2, 9])
+        reused = profiler.fit(small_dataset, align_to=arch)
+        fresh = ICNProfiler(n_clusters=9, surrogate_trees=5).fit(
+            small_dataset, align_to=arch)
+        assert np.array_equal(reused.clustering.linkage_matrix_,
+                              fresh.clustering.linkage_matrix_)
+        assert np.array_equal(reused.labels, fresh.labels)
+        a = reused.surrogate.compile().to_arrays()
+        b = fresh.surrogate.compile().to_arrays()
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+
+    def test_new_profiler_runs_ward_again(self, small_dataset, ward_calls):
+        ICNProfiler().scan_cluster_counts(small_dataset, ks=[2])
+        ICNProfiler().scan_cluster_counts(small_dataset, ks=[2])
+        assert len(ward_calls) == 2
+
+    def test_changed_totals_run_ward_again(self, small_dataset, ward_calls):
+        profiler = ICNProfiler(n_clusters=4, surrogate_trees=2)
+        totals = small_dataset.totals[:120].copy()
+        profiler.scan_cluster_counts(totals, ks=[2])
+        totals[0] *= 3.0
+        profile = profiler.fit(totals)
+        assert len(ward_calls) == 2
+        fresh = ICNProfiler(n_clusters=4, surrogate_trees=2).fit(totals)
+        assert np.array_equal(profile.clustering.linkage_matrix_,
+                              fresh.clustering.linkage_matrix_)
+
+    def test_changed_linkage_runs_ward_again(self, small_dataset, ward_calls):
+        profiler = ICNProfiler(n_clusters=4, surrogate_trees=2)
+        totals = small_dataset.totals[:120]
+        profiler.scan_cluster_counts(totals, ks=[2])
+        profiler.linkage = "average"
+        profile = profiler.fit(totals)
+        assert ward_calls == ["ward", "average"]
+        assert profile.clustering.linkage == "average"
+
+    def test_edited_results_cannot_go_stale(self, small_dataset, ward_calls):
+        # The memo keeps its own copies: in-place edits of a returned
+        # profile's features or linkage never reach a later fit.
+        profiler = ICNProfiler(n_clusters=4, surrogate_trees=2)
+        totals = small_dataset.totals[:120]
+        profile = profiler.fit(totals)
+        profile.features[0] = 0.0
+        profile.clustering.linkage_matrix_[:, 2] = 0.0
+        again = profiler.fit(totals)
+        fresh = ICNProfiler(n_clusters=4, surrogate_trees=2).fit(totals)
+        assert np.array_equal(again.features, fresh.features)
+        assert np.array_equal(again.clustering.linkage_matrix_,
+                              fresh.clustering.linkage_matrix_)
+        assert np.array_equal(again.labels, fresh.labels)
+        assert len(ward_calls) == 2  # the first fit and the fresh profiler
+
+    def test_same_data_fits_reuse_ward(self, small_dataset, ward_calls):
+        profiler = ICNProfiler(n_clusters=4, surrogate_trees=2)
+        totals = small_dataset.totals[:120]
+        first = profiler.fit(totals)
+        second = profiler.fit(totals.copy())
+        assert len(ward_calls) == 1
+        assert np.array_equal(first.labels, second.labels)
+        assert second.clustering.linkage_matrix_ is not (
+            first.clustering.linkage_matrix_)
+
+
 class TestGeneralization:
     def test_surrogate_generalizes(self, small_profile):
         """The Fig. 9 premise: the forest classifies unseen antennas."""

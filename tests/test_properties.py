@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.cluster import cut_tree, linkage, pairwise_distances
+from repro.core.cluster import Dendrogram, cut_tree, linkage, pairwise_distances
 from repro.core.rca import rca, rsca, rsca_from_rca
 from repro.core.validation import silhouette_samples
 from repro.utils.assignment import align_labels, hungarian
 from repro.utils.rng import derive_seed
+from tests import cluster_oracle
 
 # Strictly positive totals matrices of modest size.
 totals_matrices = arrays(
@@ -80,6 +81,23 @@ class TestClusterProperties:
             coarse = cut_tree(z, k - 1)
             for label in np.unique(fine):
                 assert np.unique(coarse[fine == label]).size == 1
+
+    @given(feature_matrices, st.sampled_from(["ward", "single", "average"]))
+    @settings(max_examples=40, deadline=None)
+    def test_cuts_match_union_find_oracle(self, x, method):
+        z = linkage(x, method)
+        n = x.shape[0]
+        cuts = Dendrogram(z).cuts(range(n, 0, -1))
+        for k in range(1, n + 1):
+            assert np.array_equal(cuts[k], cluster_oracle.cut_tree(z, k)), k
+
+    @given(feature_matrices)
+    @settings(max_examples=30, deadline=None)
+    def test_pairwise_distances_match_oracle(self, x):
+        for chunk_size in (1, 5, 512):
+            assert np.array_equal(
+                pairwise_distances(x, chunk_size=chunk_size),
+                cluster_oracle.pairwise_distances(x, chunk_size=chunk_size))
 
     @given(feature_matrices)
     @settings(max_examples=30, deadline=None)
