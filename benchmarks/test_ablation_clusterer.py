@@ -54,25 +54,3 @@ def test_ablation_clustering_algorithm(benchmark, dataset):
           f"(1.5k subsample); ward-vs-kmeans {ari_cross:.3f}")
     print("[ablation/clusterer] conclusion: the partition is algorithm-"
           "robust; the dendrogram (Fig. 3 groups) is what Ward adds")
-
-
-def test_ablation_surrogate_model(benchmark, profile):
-    """Surrogate choice: random forest vs gradient boosting (paper cites
-    both as TreeSHAP-compatible)."""
-    from repro.ml.boosting import GradientBoostingClassifier
-
-    x, y = profile.features, profile.labels
-
-    booster = run_once(
-        benchmark,
-        lambda: GradientBoostingClassifier(
-            n_estimators=20, max_depth=3, random_state=0
-        ).fit(x, y),
-    )
-    boost_accuracy = booster.score(x, y)
-    forest_accuracy = profile.surrogate_accuracy
-    assert boost_accuracy > 0.9
-    assert forest_accuracy > 0.98
-
-    print(f"\n[ablation/surrogate] forest accuracy {forest_accuracy:.3f}, "
-          f"boosting accuracy {boost_accuracy:.3f}")

@@ -107,18 +107,6 @@ def test_perf_spectral(benchmark, medium_features):
     assert model.labels_ is not None
 
 
-def test_perf_boosting_fit(benchmark, medium_features, medium_labels):
-    from repro.ml.boosting import GradientBoostingClassifier
-
-    def fit():
-        return GradientBoostingClassifier(
-            n_estimators=5, max_depth=3, random_state=0
-        ).fit(medium_features[:300], medium_labels[:300])
-
-    model = benchmark(fit)
-    assert model.classes_ is not None
-
-
 def test_perf_kernel_shap(benchmark):
     from repro.explain.kernel import kernel_shap
 

@@ -11,7 +11,8 @@ dendrogram tree (Fig. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,10 +22,49 @@ from repro.utils.checks import check_matrix
 LINKAGES = ("ward", "single", "complete", "average")
 
 
+#: Rows of the distance matrix computed per chunk, bounding temporaries.
+CHUNK_ROWS = 512
+
+
+def distance_chunks(
+    x: np.ndarray,
+    squared: bool = False,
+    chunk_size: int = CHUNK_ROWS,
+    out: Optional[np.ndarray] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(start, block)`` over the row chunks of ``x``'s distances.
+
+    ``block`` holds the Euclidean distances of rows ``start:start +
+    len(block)`` to every row, as ``(|a|^2 + |b|^2) - 2ab`` in that order,
+    clamped at zero, with each row's distance to itself exactly zero (and
+    squared when ``squared``).  This is the one distance formula: every
+    caller gets the same bits for the same pair of rows.  With ``out``
+    (N x N) each block is a view of its rows; otherwise all blocks share
+    one buffer, overwritten at the next step.
+    """
+    n = x.shape[0]
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    products = np.empty((min(chunk_size, n), n))
+    scratch = np.empty_like(products) if out is None else None
+    for start in range(0, n, chunk_size):
+        stop = min(start + chunk_size, n)
+        block = scratch[: stop - start] if out is None else out[start:stop]
+        twice = products[: stop - start]
+        np.matmul(x[start:stop], x.T, out=twice)
+        twice *= 2.0
+        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=block)
+        block -= twice
+        np.maximum(block, 0.0, out=block)
+        block[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        if not squared:
+            np.sqrt(block, out=block)
+        yield start, block
+
+
 def pairwise_distances(
-    features: np.ndarray, squared: bool = False, chunk_size: int = 512
+    features: np.ndarray, squared: bool = False, chunk_size: int = CHUNK_ROWS
 ) -> np.ndarray:
-    """Dense Euclidean distance matrix, computed in row chunks.
+    """Dense Euclidean distance matrix, written chunk by chunk in place.
 
     Args:
         features: N x M feature matrix.
@@ -32,25 +72,13 @@ def pairwise_distances(
         chunk_size: rows per chunk, bounding peak temporary memory.
 
     Returns:
-        N x N symmetric matrix with a zero diagonal.
+        N x N symmetric matrix with a zero diagonal, the blocks of
+        :func:`distance_chunks`.
     """
     x = check_matrix(features, "features")
-    n = x.shape[0]
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    out = np.empty((n, n))
-    products = np.empty((min(chunk_size, n), n))
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        # (|a|^2 + |b|^2) - 2ab, written into ``out`` in that order.
-        block, twice = out[start:stop], products[: stop - start]
-        np.matmul(x[start:stop], x.T, out=twice)
-        twice *= 2.0
-        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=block)
-        block -= twice
-        np.maximum(block, 0.0, out=block)
-    np.fill_diagonal(out, 0.0)
-    if not squared:
-        np.sqrt(out, out=out)
+    out = np.empty((x.shape[0], x.shape[0]))
+    for _ in distance_chunks(x, squared, chunk_size, out):
+        pass
     return out
 
 
@@ -279,18 +307,21 @@ class Dendrogram:
             raise ValueError(f"linkage matrix must be (N-1) x 4, got {z.shape}")
         self.linkage_matrix = z
         self.n_leaves = z.shape[0] + 1
-        nodes: Dict[int, DendrogramNode] = {
-            i: DendrogramNode(i, 0.0) for i in range(self.n_leaves)
-        }
+
+    @cached_property
+    def root(self) -> DendrogramNode:
+        """Top of the node tree, built on first access: the flat cuts work
+        on the linkage matrix and never need the 2N - 1 nodes."""
+        z = self.linkage_matrix
+        nodes = [DendrogramNode(i, 0.0) for i in range(self.n_leaves)]
         for t in range(z.shape[0]):
-            nodes[self.n_leaves + t] = DendrogramNode(
+            nodes.append(DendrogramNode(
                 self.n_leaves + t,
                 float(z[t, 2]),
                 left=nodes[int(z[t, 0])],
                 right=nodes[int(z[t, 1])],
-            )
-        self.root = nodes[2 * self.n_leaves - 2]
-        self._nodes = nodes
+            ))
+        return nodes[-1]
 
     def cuts(self, ks: Iterable[int]) -> Dict[int, np.ndarray]:
         """Flat labels for every k in ``ks``, in one sweep over the merges.

@@ -11,11 +11,11 @@ evaluates a linkage across a k range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cluster import Dendrogram, pairwise_distances
+from repro.core.cluster import CHUNK_ROWS, Dendrogram, distance_chunks
 from repro.utils.checks import check_matrix
 
 
@@ -32,10 +32,14 @@ def _validate_labels(features: np.ndarray, labels) -> Tuple[np.ndarray, np.ndarr
     return x, lab
 
 
-def _distances_for(x: np.ndarray, distances: Optional[np.ndarray]) -> np.ndarray:
-    """The N x N distance matrix of ``x``: computed, or validated if given."""
+def _ordered_distance_chunks(
+    x: np.ndarray, order: np.ndarray, distances: Optional[np.ndarray]
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Row chunks of the distance matrix of ``x[order]``: computed by
+    :func:`repro.core.cluster.distance_chunks`, or gathered from a given
+    N x N ``distances`` after checking its shape."""
     if distances is None:
-        return pairwise_distances(x)
+        return distance_chunks(x[order])
     dist = np.asarray(distances, dtype=float)
     n = x.shape[0]
     if dist.shape != (n, n):
@@ -43,44 +47,53 @@ def _distances_for(x: np.ndarray, distances: Optional[np.ndarray]) -> np.ndarray
             f"distances must be {n} x {n} to match features of shape "
             f"{x.shape}; got shape {dist.shape}"
         )
-    return dist
+    return ((start, dist[np.ix_(order[start:start + CHUNK_ROWS], order)])
+            for start in range(0, n, CHUNK_ROWS))
 
 
-def _column_sums(matrix: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
-    """``matrix``'s columns summed by cluster code; for a distance matrix,
-    every sample's summed distance to every cluster (N x k)."""
+def _onehot(codes: np.ndarray, k: int) -> np.ndarray:
+    """N x k indicator of each code; ``m @ _onehot`` sums columns by code."""
     onehot = np.zeros((codes.size, k))
     onehot[np.arange(codes.size), codes] = 1.0
-    return matrix @ onehot
+    return onehot
 
 
-def _block_extremes(
-    dist: np.ndarray, codes: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """k x k minimum and maximum of every cluster-by-cluster distance block.
+def _cluster_reductions(
+    x: np.ndarray,
+    codes: np.ndarray,
+    counts: np.ndarray,
+    distances: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One chunked pass over the distances, rows and columns grouped by
+    cluster, with no N x N matrix held unless ``distances`` is given.
 
-    Entry ``[a, b]`` reduces ``dist`` over rows in cluster ``a`` and
-    columns in cluster ``b``: the off-diagonal minima are single-linkage
-    separations, the diagonal maxima complete-linkage diameters.
+    Returns ``(order, sums, block_min, block_max)``: the stable order that
+    groups the samples by code; every sample's summed distance to every
+    cluster (N x k, rows in ``order``); and the k x k minimum and maximum
+    of every cluster-by-cluster block.  Block ``[a, b]`` reduces rows in
+    cluster ``a`` and columns in cluster ``b``: the off-diagonal minima
+    are single-linkage separations, the diagonal maxima complete-linkage
+    diameters.
     """
+    order = np.argsort(codes, kind="stable")
+    k = counts.size
+    starts = np.r_[0, np.cumsum(counts[:-1])].astype(np.intp)
+    onehot = _onehot(codes[order], k)
+    sums = np.empty((codes.size, k))
     to_min = np.empty((codes.size, k))
     to_max = np.empty((codes.size, k))
-    for b in range(k):
-        columns = dist[:, codes == b]
-        to_min[:, b] = columns.min(axis=1)
-        to_max[:, b] = columns.max(axis=1)
-    block_min = np.empty((k, k))
-    block_max = np.empty((k, k))
-    for a in range(k):
-        rows = codes == a
-        block_min[a] = to_min[rows].min(axis=0)
-        block_max[a] = to_max[rows].max(axis=0)
-    return block_min, block_max
+    for start, block in _ordered_distance_chunks(x, order, distances):
+        rows = slice(start, start + block.shape[0])
+        np.matmul(block, onehot, out=sums[rows])
+        to_min[rows] = np.minimum.reduceat(block, starts, axis=1)
+        to_max[rows] = np.maximum.reduceat(block, starts, axis=1)
+    return (order, sums, np.minimum.reduceat(to_min, starts, axis=0),
+            np.maximum.reduceat(to_max, starts, axis=0))
 
 
 def _silhouettes(sums: np.ndarray, counts: np.ndarray,
                  codes: np.ndarray) -> np.ndarray:
-    """Per-sample silhouettes from :func:`_column_sums` and cluster sizes."""
+    """Per-sample silhouettes from summed distances to every cluster."""
     rows = np.arange(codes.size)
     size = counts[codes]
     # Within-cluster mean excludes the sample itself.
@@ -99,7 +112,7 @@ def _silhouettes(sums: np.ndarray, counts: np.ndarray,
 
 def _dunn(block_min: np.ndarray, block_max: np.ndarray,
           counts: np.ndarray) -> float:
-    """Dunn index from :func:`_block_extremes` and cluster sizes."""
+    """Dunn index from the block extremes of :func:`_cluster_reductions`."""
     diameters = np.where(counts > 1, np.diag(block_max), 0.0)
     max_diameter = max(0.0, float(diameters.max()))
     min_separation = float(block_min[np.triu_indices(counts.size, 1)].min())
@@ -136,9 +149,11 @@ def silhouette_samples(
             ``distances`` matrix that is not N x N.
     """
     x, lab = _validate_labels(features, labels)
-    dist = _distances_for(x, distances)
     codes, counts = _codes(lab)
-    return _silhouettes(_column_sums(dist, codes, counts.size), counts, codes)
+    order, sums, _, _ = _cluster_reductions(x, codes, counts, distances)
+    out = np.empty(codes.size)
+    out[order] = _silhouettes(sums, counts, codes[order])
+    return out
 
 
 def silhouette_score(
@@ -162,9 +177,9 @@ def dunn_index(
     inter-cluster distance and complete diameter, the classical definition.
     """
     x, lab = _validate_labels(features, labels)
-    dist = _distances_for(x, distances)
     codes, counts = _codes(lab)
-    return _dunn(*_block_extremes(dist, codes, counts.size), counts)
+    _, _, block_min, block_max = _cluster_reductions(x, codes, counts, distances)
+    return _dunn(block_min, block_max, counts)
 
 
 def davies_bouldin_index(features: np.ndarray, labels) -> float:
@@ -310,24 +325,23 @@ def scan_k(
     """Evaluate validity indices for flat cuts of one dendrogram.
 
     Cuts of one dendrogram nest: every cluster of a coarse cut is a union
-    of clusters of the finest cut.  The scan therefore reduces the
-    distance matrix once, at the finest k, to per-cluster distance sums
-    and block minima/maxima, and derives every coarser k by merging those
-    columns and blocks — one O(N^2) pass however many ks are scanned.
-    Dunn values are exactly :func:`dunn_index`'s; silhouettes agree with
-    :func:`silhouette_score` to floating-point summation order.
+    of clusters of the finest cut.  The scan therefore makes one chunked
+    pass over the distances, rows and columns grouped by finest-cut
+    cluster, reducing each chunk to per-sample cluster sums and per-block
+    minima/maxima; every coarser k merges those columns and blocks.  No
+    N x N matrix is held (each chunk is 512 rows), and the pass is
+    O(N^2) however many ks are scanned.  Dunn values are exactly
+    :func:`dunn_index`'s; silhouettes agree with :func:`silhouette_score`
+    to floating-point summation order.
     """
     x = check_matrix(features, "features")
     result = KScanResult(ks=[], silhouette=[], dunn=[], davies_bouldin=[])
     ks = [int(k) for k in ks]
     if not ks:
         return result
-    distances = pairwise_distances(x)
     cuts = dendrogram.cuts(ks)
     fine, fine_counts = _codes(cuts[max(ks)])
-    n_fine = fine_counts.size
-    fine_sums = _column_sums(distances, fine, n_fine)
-    fine_min, fine_max = _block_extremes(distances, fine, n_fine)
+    order, fine_sums, fine_min, fine_max = _cluster_reductions(x, fine, fine_counts)
     first_of_fine = np.unique(fine, return_index=True)[1]
     for k in ks:
         _, lab = _validate_labels(x, cuts[k])
@@ -340,8 +354,8 @@ def scan_k(
         np.maximum.at(block_max, pairs, fine_max)
         result.ks.append(k)
         result.silhouette.append(
-            float(_silhouettes(_column_sums(fine_sums, merge, counts.size),
-                               counts, codes).mean())
+            float(_silhouettes(fine_sums @ _onehot(merge, counts.size),
+                               counts, codes[order]).mean())
         )
         result.dunn.append(_dunn(block_min, block_max, counts))
         if include_davies_bouldin:

@@ -2,7 +2,6 @@
 
 from repro.ml.tree import DecisionTreeClassifier, TreeStructure, LEAF
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.compiled import (
     CompiledForest,
     CompiledTree,
@@ -23,7 +22,6 @@ __all__ = [
     "TreeStructure",
     "LEAF",
     "RandomForestClassifier",
-    "GradientBoostingClassifier",
     "CompiledForest",
     "CompiledTree",
     "FusedProfileKernel",

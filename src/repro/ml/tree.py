@@ -7,7 +7,11 @@ integer row weights (a bootstrap draw is a count per row, not repeated
 rows), by the Gini criterion in scikit-learn's proxy form
 ``Σ_c lc²/nL + Σ_c rc²/nR``, whose sums are exact in int64.  The features a node
 examines come from a keyed sampler: a pure function of the tree seed and the
-node's path from the root, so a refit is identical in any process.
+node's path from the root, so a refit is identical in any process.  The two
+orderings a level needs (by value within each node and feature, and by class
+within that) are plain sorts of packed int64 keys, the entry index in the low
+bits (:func:`packed_argsort`); a level whose keys and indices would need more
+than 63 bits raises ``ValueError`` rather than fall back to ``argsort``.
 
 The fitted tree exposes flat node arrays (``children_left``,
 ``children_right``, ``feature``, ``threshold``, ``value``,
@@ -96,6 +100,25 @@ def column_ranks(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.unique(col, return_inverse=True)[1] for col in x.T])
 
 
+def packed_argsort(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted key, order)`` of a non-negative int64 ``key`` in one sort.
+
+    Each key is shifted left and its index put in the freed low bits, so a
+    plain ``np.sort`` of the packed values orders by key, ties by index;
+    the mask decodes ``order`` (a stable argsort) and the shift the sorted
+    keys.  Raises ``ValueError`` when key and index bits exceed 63.
+    """
+    shift = int(key.size - 1).bit_length()
+    if int(key.max(initial=0)).bit_length() + shift > 63:
+        raise ValueError(
+            f"keys up to {int(key.max())} and {key.size} indices exceed 63 bits"
+        )
+    packed = key << shift
+    packed |= np.arange(key.size)
+    packed.sort()
+    return packed >> shift, packed & ((1 << shift) - 1)
+
+
 def _prefix_in_pair(values: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over earlier entries of the pair starting at ``head``."""
     before = np.cumsum(values)
@@ -133,14 +156,15 @@ def _level_splits(
     k = candidates.shape[1]
     n_classes = counts.shape[1]
     # One entry per (row, slot), grouped into "pairs" (node, slot) and
-    # ordered by value within each pair.  Ties in value need no order:
-    # a boundary only falls between distinct values.
+    # ordered by value within each pair: the key is the pair above the
+    # value's rank bits, sorted packed with its index (packed_argsort, which
+    # raises once key and index need more than 63 bits).  Ties in value
+    # need no order: a boundary only falls between distinct values.
+    rank_bits = int(ranks.shape[0] - 1).bit_length()
     pair = (node * k)[:, None] + np.arange(k)
     rank = ranks.ravel()[(rows * ranks.shape[1])[:, None] + candidates[node]]
-    key = (pair * ranks.shape[0] + rank).ravel()
-    order = np.argsort(key)
-    key = key[order]
-    pair = pair.ravel()[order]
+    key, order = packed_argsort(((pair << rank_bits) | rank).ravel())
+    pair = key >> rank_bits
     entry_row = order // k
     we = w[entry_row]
     ye = y[entry_row]
@@ -152,9 +176,7 @@ def _level_splits(
     # exclusive prefix sum within each (pair, class) group, whose running
     # total at the group's first entry is carried forward (weights are
     # positive, so the carried value only grows).
-    group = pair * n_classes + ye
-    by_class = np.argsort(group * size + np.arange(size))
-    grouped = group[by_class]
+    grouped, by_class = packed_argsort(pair * n_classes + ye)
     class_w = we[by_class]
     before = np.cumsum(class_w) - class_w
     group_first = np.r_[True, grouped[1:] != grouped[:-1]]

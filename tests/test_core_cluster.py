@@ -11,6 +11,7 @@ import pytest
 from repro.core.cluster import (
     AgglomerativeClustering,
     Dendrogram,
+    DendrogramNode,
     cophenetic_distances,
     cut_tree,
     linkage,
@@ -258,6 +259,42 @@ class TestDendrogram:
                 for c in np.unique(labels)
             ]
             assert set(node_leafsets) == set(cut_leafsets)
+
+    def test_node_tree_matches_scipy(self, rng):
+        n = 30
+        z = linkage(rng.normal(size=(n, 3)), "ward")
+        dendrogram = Dendrogram(z)
+        assert dendrogram.root.leaves() == scipy_hierarchy.to_tree(z).pre_order()
+        parent = np.full(2 * n - 1, 2 * n - 1)
+        parent[z[:, :2].astype(int).ravel()] = np.repeat(np.arange(n, 2 * n - 1), 2)
+        ids = np.arange(2 * n - 1)
+        for k in (1, 3, 7, n):
+            # The k-cut's subtrees are the nodes made before merge N - k
+            # whose parent is made at or after it.
+            roots = ids[(ids < 2 * n - k) & (parent >= 2 * n - k)]
+            nodes = dendrogram.nodes_at(k)
+            assert sorted(node.node_id for node in nodes) == roots.tolist()
+
+    def test_cuts_and_fits_build_no_nodes(self, rng, monkeypatch):
+        import repro.core.cluster as cluster_module
+
+        built = []
+
+        class CountingNode(DendrogramNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.node_id)
+
+        monkeypatch.setattr(cluster_module, "DendrogramNode", CountingNode)
+        x = rng.normal(size=(40, 3))
+        model = AgglomerativeClustering(n_clusters=4).fit(x)
+        cut_tree(model.linkage_matrix_, 5)
+        model.dendrogram_.cuts(range(2, 9))
+        assert built == []
+        assert sorted(model.dendrogram_.root.leaves()) == list(range(40))
+        assert len(built) == 2 * 40 - 1
+        model.dendrogram_.nodes_at(6)
+        assert len(built) == 2 * 40 - 1
 
     def test_group_of_clusters_consistent(self, rng):
         x, _ = random_blobs(rng, n_blobs=4, per_blob=10)

@@ -1,6 +1,7 @@
 """Tests for the cluster validity indices (silhouette, Dunn, DB)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ class TestScanKMatchesPerK:
         x = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="two clusters"):
             scan_k(x, Dendrogram(linkage(x, "ward")), ks=[1, 3])
+
+
+class TestScanKAtPaperScale:
+    def test_matches_per_k_indices_without_a_dense_matrix(self, full_profile):
+        x = full_profile.features
+        dendrogram = full_profile.clustering.dendrogram_
+        ks = range(2, 16)
+        tracemalloc.start()
+        try:
+            result = scan_k(x, dendrogram, ks=ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One dense 4,762 x 4,762 float64 matrix alone is 181 MB.
+        assert peak < 64 * 2**20, peak
+        for k, labels in dendrogram.cuts(ks).items():
+            i = result.ks.index(k)
+            assert result.dunn[i] == dunn_index(x, labels), k
+            assert abs(result.silhouette[i] - silhouette_score(x, labels)) <= 1e-12, k
 
 
 class TestPrecomputedDistances:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import LEAF, DecisionTreeClassifier, column_ranks
+from repro.ml.tree import LEAF, DecisionTreeClassifier, column_ranks, packed_argsort
 from repro.utils.rng import derive_seed
 
 from tests.cart_oracle import assert_matches_oracle
@@ -201,3 +201,30 @@ class TestValidation:
     def test_label_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="one label per row"):
             DecisionTreeClassifier().fit(rng.normal(size=(10, 2)), np.zeros(9))
+
+
+class TestPackedArgsort:
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4096),
+           high=st.sampled_from([1, 2, 7, 4096, 2**40]))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_keys_and_a_sorting_permutation(self, seed, size, high):
+        # Small ``high`` makes most keys ties.
+        key = np.random.default_rng(seed).integers(0, high, size=size)
+        ordered, order = packed_argsort(key)
+        assert np.array_equal(np.sort(order), np.arange(size))
+        assert np.array_equal(key[order], ordered)
+        assert np.array_equal(ordered, np.sort(key))
+        # Ties keep their index order.
+        assert np.array_equal(order, np.argsort(key, kind="stable"))
+
+    @given(size=st.integers(2, 4096))
+    @settings(max_examples=30, deadline=None)
+    def test_raises_once_key_and_index_bits_exceed_63(self, size):
+        shift = (size - 1).bit_length()
+        widest = np.zeros(size, dtype=np.int64)
+        widest[-1] = 2 ** (63 - shift) - 1
+        ordered, order = packed_argsort(widest)
+        assert ordered[-1] == widest[-1] and order[-1] == size - 1
+        widest[-1] += 1
+        with pytest.raises(ValueError, match="63 bits"):
+            packed_argsort(widest)
