@@ -281,16 +281,23 @@ class DendrogramNode:
         return self.left is None and self.right is None
 
     def leaves(self) -> List[int]:
-        """Original observation indices under this node, left-to-right."""
-        if self.is_leaf:
-            return [self.node_id]
-        return self.left.leaves() + self.right.leaves()
+        """Original observation indices under this node, left-to-right.
+
+        Walks an explicit stack, so a chained (single-linkage) tree of any
+        depth stays clear of Python's recursion limit.
+        """
+        found, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                found.append(node.node_id)
+            else:
+                stack += (node.right, node.left)
+        return found
 
     def count(self) -> int:
         """Number of observations under this node."""
-        if self.is_leaf:
-            return 1
-        return self.left.count() + self.right.count()
+        return len(self.leaves())
 
 
 class Dendrogram:

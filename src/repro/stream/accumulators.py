@@ -34,6 +34,20 @@ from repro.stream.batch import HourlyBatch
 _INITIAL_CAPACITY = 64
 
 
+def sorted_lookup(
+    sorted_ids: np.ndarray, sorted_rows: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """Row of each id in a registry sorted by id (stably, so equal ids
+    keep row order), or -1 where absent; a repeated id maps to its last
+    row, as a dict built in row order would."""
+    pos = np.searchsorted(sorted_ids, ids, side="right") - 1
+    found = pos >= 0
+    found[found] = sorted_ids[pos[found]] == ids[found]
+    rows = np.full(ids.size, -1, dtype=np.intp)
+    rows[found] = sorted_rows[pos[found]]
+    return rows
+
+
 class _AntennaTable:
     """Shared machinery: antenna-id -> row registry with geometric growth.
 
@@ -49,8 +63,7 @@ class _AntennaTable:
         if len(set(names)) != len(names):
             raise ValueError("service names must be unique")
         self.service_names: Tuple[str, ...] = names
-        self._ids: List[int] = []
-        self._index: Dict[int, int] = {}
+        self._set_ids(np.empty(0, dtype=np.int64))
         self._capacity = 0
         self.hours_seen = 0
         self.last_hour: Optional[np.datetime64] = None
@@ -69,15 +82,19 @@ class _AntennaTable:
     @property
     def n_antennas(self) -> int:
         """Number of distinct antennas seen so far."""
-        return len(self._ids)
+        return self._ids.size
 
     def antenna_ids(self) -> np.ndarray:
         """Ids of the antennas seen so far, in first-seen (row) order."""
-        return np.array(self._ids, dtype=np.int64)
+        return self._ids.copy()
 
     def row_of(self, antenna_id: int) -> int:
         """Row index of one antenna; raises ``KeyError`` if unseen."""
-        return self._index[int(antenna_id)]
+        rows = sorted_lookup(self._sorted_ids, self._sorted_rows,
+                             np.array([antenna_id], dtype=np.int64))
+        if rows[0] < 0:
+            raise KeyError(int(antenna_id))
+        return int(rows[0])
 
     def _check_batch(self, batch: HourlyBatch) -> None:
         if batch.service_names != self.service_names:
@@ -91,37 +108,38 @@ class _AntennaTable:
                 f"got {batch.hour} after {self.last_hour}"
             )
 
+    def _set_ids(self, ids: np.ndarray) -> None:
+        """Install the row-ordered id registry and its sorted index."""
+        self._ids = np.asarray(ids, dtype=np.int64).copy()
+        self._sorted_rows = np.argsort(self._ids, kind="stable")
+        self._sorted_ids = self._ids[self._sorted_rows]
+
     def _rows_for(self, antenna_ids: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         """Row indices for a batch's antennas, registering new ones.
 
-        Capacity grows at most once per batch, to at least double and at
-        least the rows this batch needs, so a burst of new antennas costs
-        one reallocation rather than one per doubling.
+        Unseen ids take the next rows in batch order.  Capacity grows at
+        most once per batch, to at least double and at least the rows this
+        batch needs, so a burst of new antennas costs one reallocation
+        rather than one per doubling.
         """
-        rows = np.empty(antenna_ids.size, dtype=np.intp)
-        new_ids: List[int] = []
-        for k, raw in enumerate(antenna_ids):
-            aid = int(raw)
-            row = self._index.get(aid)
-            if row is None:
-                row = len(self._ids)
-                self._index[aid] = row
-                self._ids.append(aid)
-                new_ids.append(aid)
-            rows[k] = row
-        if len(self._ids) > self._capacity:
+        rows = sorted_lookup(self._sorted_ids, self._sorted_rows, antenna_ids)
+        unseen = rows < 0
+        new_ids = antenna_ids[unseen]
+        if new_ids.size:
+            rows[unseen] = self.n_antennas + np.arange(new_ids.size)
+            self._set_ids(np.concatenate([self._ids, new_ids]))
+        if self.n_antennas > self._capacity:
             new_capacity = max(
-                _INITIAL_CAPACITY, 2 * self._capacity, len(self._ids)
+                _INITIAL_CAPACITY, 2 * self._capacity, self.n_antennas
             )
             self._grow_arrays(new_capacity)
             self._capacity = new_capacity
-        return rows, new_ids
+        return rows, new_ids.tolist()
 
     def _restore_registry(
         self, ids: np.ndarray, hours_seen: int, last_hour: Optional[np.datetime64]
     ) -> None:
-        self._ids = [int(a) for a in ids]
-        self._index = {aid: row for row, aid in enumerate(self._ids)}
+        self._set_ids(ids)
         self.hours_seen = int(hours_seen)
         self.last_hour = last_hour
 
@@ -284,7 +302,9 @@ class SlidingWindowTensor(_AntennaTable):
 
     Holds the (antennas, services, W) recent-history tensor in bounded
     memory: each ingested hour occupies one ring slot, evicting the
-    oldest hour once W hours are resident.
+    oldest hour once W hours are resident.  The ring is stored slot-major,
+    as ``(W, capacity, M)``, so an hour is written as one contiguous block
+    and slots never written stay unallocated zero pages.
     """
 
     def __init__(self, service_names: Sequence[str], window_hours: int) -> None:
@@ -292,7 +312,7 @@ class SlidingWindowTensor(_AntennaTable):
         if window_hours < 1:
             raise ValueError(f"window_hours must be >= 1, got {window_hours}")
         self.window_hours = int(window_hours)
-        self._buffer = np.zeros((0, self.n_services, self.window_hours))
+        self._buffer = np.zeros((self.window_hours, 0, self.n_services))
         self._slot_hours: List[Optional[np.datetime64]] = (
             [None] * self.window_hours
         )
@@ -300,8 +320,9 @@ class SlidingWindowTensor(_AntennaTable):
         self._count = 0  # resident hours (<= window_hours)
 
     def _grow_arrays(self, new_capacity: int) -> None:
-        grown = np.zeros((new_capacity, self.n_services, self.window_hours))
-        grown[: self._buffer.shape[0]] = self._buffer
+        grown = np.zeros((self.window_hours, new_capacity, self.n_services))
+        slots = self._slots()
+        grown[slots, : self._buffer.shape[1]] = self._buffer[slots]
         self._buffer = grown
 
     def update(self, batch: HourlyBatch) -> List[int]:
@@ -314,8 +335,8 @@ class SlidingWindowTensor(_AntennaTable):
         else:
             slot = (self._start + self._count) % self.window_hours
             self._count += 1
-        self._buffer[: self.n_antennas, :, slot] = 0.0
-        self._buffer[rows, :, slot] = batch.traffic
+        self._buffer[slot, : self.n_antennas] = 0.0
+        self._buffer[slot, rows] = batch.traffic
         self._slot_hours[slot] = batch.hour
         self.hours_seen += 1
         self.last_hour = batch.hour
@@ -343,8 +364,8 @@ class SlidingWindowTensor(_AntennaTable):
 
     def tensor(self) -> np.ndarray:
         """(antennas, services, resident-hours) tensor, oldest hour first."""
-        slots = self._slots()
-        return self._buffer[: self.n_antennas][:, :, slots].copy()
+        window = self._buffer[self._slots(), : self.n_antennas]
+        return np.ascontiguousarray(window.transpose(1, 2, 0))
 
     def window_totals(self) -> np.ndarray:
         """N x M totals over the resident window."""
@@ -377,8 +398,8 @@ class SlidingWindowTensor(_AntennaTable):
         resident = np.asarray(state["buffer"], dtype=float)
         n, m, count = resident.shape
         acc._capacity = n
-        acc._buffer = np.zeros((n, m, acc.window_hours))
-        acc._buffer[:, :, :count] = resident
+        acc._buffer = np.zeros((acc.window_hours, n, m))
+        acc._buffer[:count] = resident.transpose(2, 0, 1)
         stamps = [np.datetime64(str(h), "h")
                   for h in np.asarray(state["slot_hours"])]
         acc._slot_hours = list(stamps) + [None] * (acc.window_hours - count)

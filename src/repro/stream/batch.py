@@ -25,7 +25,9 @@ class HourlyBatch:
         antenna_ids: ids of the reporting antennas (unique, row order of
             ``traffic``).
         traffic: R x M non-negative traffic in MB, one row per reporting
-            antenna, one column per service.
+            antenna, one column per service; stored C-contiguous, so a
+            strided view (an hour sliced out of a replay tensor) is copied
+            once here rather than read strided by every accumulator.
         service_names: service names in column order.
     """
 
@@ -37,7 +39,7 @@ class HourlyBatch:
     def __post_init__(self) -> None:
         hour = np.datetime64(self.hour, "h")
         ids = np.asarray(self.antenna_ids, dtype=np.int64)
-        traffic = np.asarray(self.traffic, dtype=float)
+        traffic = np.ascontiguousarray(self.traffic, dtype=float)
         names = tuple(str(s) for s in self.service_names)
         if ids.ndim != 1:
             raise ValueError(f"antenna_ids must be 1-D, got shape {ids.shape}")

@@ -29,6 +29,7 @@ from repro.analysis.drift import DriftReport, compare_partitions
 from repro.obs import get_logger, span
 from repro.obs.trace import TraceContext
 from repro.stream.accumulators import IncrementalRSCA, SlidingWindowTensor
+from repro.stream.accumulators import sorted_lookup
 from repro.stream.batch import HourlyBatch
 from repro.relia.faults import fault_point
 from repro.stream.checkpoint import (
@@ -46,6 +47,10 @@ from repro.stream.metrics import StreamMetrics
 DEFAULT_WINDOW_HOURS = 168
 
 _log = get_logger("repro.stream")
+
+#: One classification of the current state: antenna ids, RSCA features
+#: and kernel labels, row-aligned.
+_Classified = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -166,18 +171,21 @@ class StreamingProfiler:
         self.metrics.incr("rows_ingested", batch.n_rows)
         self.metrics.incr("antennas_discovered", len(new_ids))
 
+        # An hour that is both a classify and a drift hour votes once: the
+        # drift comparison reuses the occupancy pass's labels.
         count = self.metrics.count("batches_ingested")
+        classified: Optional[_Classified] = None
         occupancy: Optional[Dict[int, int]] = None
         if self.classify_every and count % self.classify_every == 0:
             with span("stream.classify", hour=str(batch.hour)):
                 with self.metrics.timer("classify_seconds"):
-                    _, labels = self.classify_current()
-                    occupancy = self._occupancy_of(labels)
+                    classified = self._classify()
+                    occupancy = self._occupancy_of(classified[2])
             self.metrics.incr("classify_calls")
 
         drift: Optional[DriftSignal] = None
         if self.drift_check_every and count % self.drift_check_every == 0:
-            drift = self.check_drift(hour=batch.hour)
+            drift = self._check_drift(batch.hour, classified)
 
         return BatchResult(
             hour=batch.hour,
@@ -198,8 +206,12 @@ class StreamingProfiler:
             ``(antenna_ids, labels)`` from the running RSCA features and
             the frozen profile's compiled-kernel vote.
         """
+        ids, _, labels = self._classify()
+        return ids, labels
+
+    def _classify(self) -> _Classified:
         ids, features = self.totals.rsca_nonzero()
-        return ids, self.frozen.kernel().vote(features)
+        return ids, features, self.frozen.kernel().vote(features)
 
     def _occupancy_of(self, labels: np.ndarray) -> Dict[int, int]:
         occupancy = {int(c): 0 for c in self.frozen.clusters}
@@ -226,22 +238,22 @@ class StreamingProfiler:
         training rows that have reported traffic on the stream) and runs
         the longitudinal drift analysis on that common population.
         """
+        return self._check_drift(hour, None)
+
+    def _check_drift(
+        self, hour: Optional[np.datetime64], classified: Optional[_Classified]
+    ) -> DriftSignal:
         with span("stream.drift"), self.metrics.timer("drift_seconds"):
-            ids, features = self.totals.rsca_nonzero()
-            labels = self.frozen.kernel().vote(features)
-            frozen_pos = {
-                int(aid): row for row, aid in enumerate(self.frozen.antenna_ids)
-            }
-            common = [k for k, aid in enumerate(ids) if int(aid) in frozen_pos]
-            if len(common) < 2:
+            ids, features, labels = classified or self._classify()
+            order = np.argsort(self.frozen.antenna_ids, kind="stable")
+            joined = sorted_lookup(self.frozen.antenna_ids[order], order, ids)
+            stream_rows = np.flatnonzero(joined >= 0)
+            frozen_rows = joined[stream_rows]
+            if stream_rows.size < 2:
                 raise ValueError(
                     "drift check requires at least 2 streamed antennas that "
                     "appear in the frozen profile"
                 )
-            stream_rows = np.array(common, dtype=np.intp)
-            frozen_rows = np.array(
-                [frozen_pos[int(ids[k])] for k in common], dtype=np.intp
-            )
             report = compare_partitions(
                 self.frozen.features[frozen_rows],
                 self.frozen.labels[frozen_rows],
@@ -261,7 +273,7 @@ class StreamingProfiler:
             hour=hour if hour is not None else self.totals.last_hour,
             report=report,
             mean_centroid_drift=report.mean_centroid_drift,
-            n_common_antennas=len(common),
+            n_common_antennas=stream_rows.size,
             refit_recommended=drifted,
         )
         _log.log(

@@ -246,6 +246,16 @@ class TestDendrogram:
         assert sorted(dendrogram.root.leaves()) == list(range(20))
         assert dendrogram.root.count() == 20
 
+    def test_chained_tree_deeper_than_recursion_limit(self):
+        # Growing gaps make single linkage absorb one point per merge, so
+        # the tree is a 2,999-level chain; each merge puts the new point
+        # (the smaller node id) on the left.
+        x = np.cumsum(np.arange(1.0, 3001.0))[:, None]
+        root = Dendrogram(linkage(x, "single")).root
+        assert root.leaves() == list(range(2999, 1, -1)) + [0, 1]
+        assert root.count() == 3000
+        assert root.right.count() == 2999
+
     def test_nodes_at_matches_cut(self, rng):
         x = rng.normal(size=(25, 3))
         dendrogram = Dendrogram(linkage(x, "ward"))

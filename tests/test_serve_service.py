@@ -233,24 +233,24 @@ class TestHotSwap:
 
 class TestAdmissionControl:
     def test_shed_surfaces_and_counts(self):
-        # A dedicated profile whose vote blocks until released, so the
-        # queue reliably fills to the watermark.
+        # A dedicated profile whose kernel vote (the path the worker
+        # calls) blocks until released, so the queue reliably fills to the
+        # watermark behind the one busy worker.
         frozen, _ = build_frozen_profile(n_antennas=60)
-        release = threading.Event()
-        original_vote = frozen.vote
+        entered, release = threading.Event(), threading.Event()
+        kernel = frozen.kernel()
+        original_vote = kernel.vote
 
         def slow_vote(features):
+            entered.set()
             release.wait(10.0)
             return original_vote(features)
 
-        frozen.vote = slow_vote  # instance attribute shadows the method
+        kernel.vote = slow_vote  # instance attribute shadows the method
         with ProfileService(frozen, max_batch=1, n_workers=1,
                             max_queue_depth=2, cache_size=0) as svc:
             pending = [svc.submit(frozen.features[:1])]
-            deadline = time.monotonic() + 5.0
-            while (svc._batcher.queue_depth() > 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.001)
+            assert entered.wait(5.0), "the worker never reached the vote"
             pending.append(svc.submit(frozen.features[1:2]))
             pending.append(svc.submit(frozen.features[2:3]))
             with pytest.raises(ShedRequest) as excinfo:

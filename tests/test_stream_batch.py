@@ -45,6 +45,17 @@ class TestHourlyBatch:
         assert batch.traffic.dtype == float
         assert batch.hour == np.datetime64("2023-01-09T05", "h")
 
+    def test_traffic_is_c_contiguous(self):
+        # An hour sliced out of an (antennas, services, hours) tensor is a
+        # strided view; the batch holds it contiguous, while an already
+        # contiguous float matrix is kept as it is.
+        tensor = np.arange(24.0).reshape(2, 3, 4)
+        strided = make_batch(traffic=tensor[:, :, 1])
+        assert strided.traffic.flags.c_contiguous
+        assert np.array_equal(strided.traffic, tensor[:, :, 1])
+        contiguous = np.ones((2, 3))
+        assert make_batch(traffic=contiguous).traffic is contiguous
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
             make_batch(ids=(1, 1))

@@ -6,6 +6,7 @@ import pytest
 from repro.core.pipeline import ICNProfiler
 from repro.datagen.calendar import StudyCalendar
 from repro.datagen.dataset import generate_dataset
+from repro.ml.compiled import FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
 from repro.stream import (
     FrozenProfile,
@@ -206,6 +207,27 @@ class TestStreamingProfiler:
         ]
         assert len(signals) == len(batches) // 48
         assert streamer.metrics.count("drift_checks") == len(signals)
+
+    def test_classify_and_drift_hour_votes_once(self, frozen, batches,
+                                                monkeypatch):
+        streamer = StreamingProfiler(frozen, window_hours=24,
+                                     classify_every=6, drift_check_every=12)
+        for batch in batches[:11]:
+            streamer.ingest(batch)
+        calls = []
+        vote = FusedProfileKernel.vote
+
+        def counting_vote(self, features):
+            calls.append(features.shape[0])
+            return vote(self, features)
+
+        monkeypatch.setattr(FusedProfileKernel, "vote", counting_vote)
+        result = streamer.ingest(batches[11])
+        assert result.occupancy is not None and result.drift is not None
+        assert len(calls) == 1
+        # The shared vote leaves the signal as a fresh check would give it.
+        assert result.drift == streamer.check_drift()
+        assert len(calls) == 2
 
     def test_checkpoint_restore_matches_uninterrupted(self, frozen, batches,
                                                       tmp_path):
