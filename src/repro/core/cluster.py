@@ -6,6 +6,16 @@ the nearest-neighbour-chain algorithm — O(N^2) time, exact for *reducible*
 linkage criteria (Ward, single, complete, average) — producing a
 scipy-compatible linkage matrix, flat cluster cuts, and a navigable
 dendrogram tree (Fig. 3).
+
+The chain touches the N x N distance matrix only along rows.  A
+``penalty`` vector (0 for active clusters, +inf for merged-away ones)
+masks dead columns, so a nearest-neighbour lookup is one add and one
+``argmin`` over a contiguous row, and the Lance–Williams update rewrites
+the surviving row whole.  Columns are never written: a merge log records
+which row each merge rewrote, and a row is brought current from it — by
+copying in the entries of the rows rewritten since it was last read —
+just before it is read.  Every value read is the one a column write
+would have left, so the linkage equals the textbook chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +51,19 @@ def distance_chunks(
     caller gets the same bits for the same pair of rows.  With ``out``
     (N x N) each block is a view of its rows; otherwise all blocks share
     one buffer, overwritten at the next step.
+
+    Raises:
+        ValueError: when ``4 * max(|x|^2)``, the bound on every term of
+            the formula, overflows float: the distances would be inf or
+            NaN.
     """
     n = x.shape[0]
     sq_norms = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(4.0 * sq_norms.max(initial=0.0)):
+        raise ValueError(
+            "features are too large for float64 distances: "
+            "4 * max squared row norm overflows"
+        )
     products = np.empty((min(chunk_size, n), n))
     scratch = np.empty_like(products) if out is None else None
     for start in range(0, n, chunk_size):
@@ -90,26 +110,41 @@ def _lance_williams_update(
     size_a: float,
     size_b: float,
     sizes: np.ndarray,
-) -> np.ndarray:
-    """Distance from the merged cluster (a u b) to every other cluster.
+    work: np.ndarray,
+) -> None:
+    """Overwrite ``dist_a`` with the distance from the merged cluster
+    (a u b) to every other cluster.
 
     For ``ward`` the inputs and output are *squared* Euclidean distances;
-    for the other criteria they are plain distances.
+    for the other criteria they are plain distances.  ``work`` holds two
+    scratch rows.  Each term is computed in the order of the textbook
+    formula, so the result is the same float as the formula evaluated with
+    temporaries.
     """
+    left, right = work
     if method == "ward":
-        total = size_a + size_b + sizes
-        return (
-            (size_a + sizes) * dist_a
-            + (size_b + sizes) * dist_b
-            - sizes * dist_ab
-        ) / total
-    if method == "single":
-        return np.minimum(dist_a, dist_b)
-    if method == "complete":
-        return np.maximum(dist_a, dist_b)
-    if method == "average":
-        return (size_a * dist_a + size_b * dist_b) / (size_a + size_b)
-    raise ValueError(f"unknown linkage method {method!r}; expected one of {LINKAGES}")
+        # ((size_a + sizes) * dist_a + (size_b + sizes) * dist_b
+        #  - sizes * dist_ab) / (size_a + size_b + sizes)
+        np.add(size_a, sizes, out=left)
+        left *= dist_a
+        np.add(size_b, sizes, out=right)
+        right *= dist_b
+        left += right
+        np.multiply(sizes, dist_ab, out=right)
+        left -= right
+        np.add(size_a + size_b, sizes, out=right)
+        np.divide(left, right, out=dist_a)
+    elif method == "single":
+        np.minimum(dist_a, dist_b, out=dist_a)
+    elif method == "complete":
+        np.maximum(dist_a, dist_b, out=dist_a)
+    elif method == "average":
+        np.multiply(size_a, dist_a, out=left)
+        np.multiply(size_b, dist_b, out=right)
+        left += right
+        np.divide(left, size_a + size_b, out=dist_a)
+    else:
+        raise ValueError(f"unknown linkage method {method!r}; expected one of {LINKAGES}")
 
 
 def _nn_chain_merges(
@@ -121,43 +156,68 @@ def _nn_chain_merges(
     ``(slot_a, slot_b, height)`` where slots are original point indices of
     cluster representatives; heights are in the method's working metric
     (squared distances for ward).
+
+    A merge writes only the surviving row ``a``, so the pair ``(c, a)`` is
+    current in row ``a`` and stale in row ``c``.  ``log[t]`` is the row
+    merge ``t`` wrote, ``stamp[r]`` the last merge that wrote row ``r``
+    (-1 when none did or ``r`` was merged away) and ``fresh[c]`` the
+    number of merges row ``c`` has caught up with.  Just before a row is
+    read, ``bring_current`` copies in the entries of the active rows
+    written since, so every value read is the float a column write would
+    have left there.
     """
     n = dist.shape[0]
+    np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
+    penalty = np.zeros(n)  # +inf masks merged-away columns
+    log = np.empty(n - 1, dtype=np.intp)
+    steps = np.arange(n - 1)
+    stamp = np.full(n, -1, dtype=np.intp)
+    fresh = np.zeros(n, dtype=np.intp)
+    work = np.empty((2, n))
+    row = work[0]
     merges: List[Tuple[int, int, float]] = []
-    # cluster_of[slot] tracks which original slot currently represents the
-    # cluster containing that slot's points; merged-away slots deactivate.
     chain: List[int] = []
-    inf = np.inf
-    for _ in range(n - 1):
+    lowest = 0
+
+    def bring_current(c: int, t: int) -> None:
+        since = fresh[c]
+        if since < t:
+            written = log[since:t]
+            written = written[stamp[written] == steps[since:t]]
+            dist[c, written] = dist[written, c]
+            fresh[c] = t
+
+    for t in range(n - 1):
         if not chain:
-            chain.append(int(np.flatnonzero(active)[0]))
+            while penalty[lowest]:
+                lowest += 1
+            chain.append(lowest)
         while True:
             a = chain[-1]
-            row = np.where(active, dist[a], inf)
-            row[a] = inf
-            b = int(np.argmin(row))
+            bring_current(a, t)
+            np.add(dist[a], penalty, out=row)
+            b = int(row.argmin())
             if len(chain) >= 2 and b == chain[-2]:
                 break
             chain.append(b)
         chain.pop()
         chain.pop()
+        bring_current(b, t)
         height = dist[a, b]
-        # Merge b into a's slot: update distances via Lance-Williams.
-        others = active.copy()
-        others[a] = False
-        others[b] = False
-        idx = np.flatnonzero(others)
-        if idx.size:
-            updated = _lance_williams_update(
-                method, dist[a, idx], dist[b, idx], height,
-                sizes[a], sizes[b], sizes[idx],
-            )
-            dist[a, idx] = updated
-            dist[idx, a] = updated
+        # Merge b into a's slot.  Columns a, b and the merged-away ones
+        # come out finite or +inf (never NaN: the one subtraction is of a
+        # finite sizes * height), and the diagonal and penalty mask them.
+        _lance_williams_update(
+            method, dist[a], dist[b], height, sizes[a], sizes[b], sizes, work
+        )
+        dist[a, a] = np.inf
         sizes[a] = sizes[a] + sizes[b]
-        active[b] = False
+        penalty[b] = np.inf
+        log[t] = a
+        stamp[a] = t
+        stamp[b] = -1
+        fresh[a] = t + 1
         merges.append((a, b, float(height)))
     return merges
 

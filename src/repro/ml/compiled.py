@@ -54,6 +54,10 @@ __all__ = [
 #: one block's ``(trees, rows, classes)`` gather stays cache-sized.
 _VOTE_BLOCK_ROWS = 256
 
+#: Rows per block in :meth:`FusedProfileKernel._centroid_distances`: one
+#: ``(rows, K, M)`` difference block stays cache-sized.
+_CENTROID_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class CompiledTree:
@@ -356,10 +360,22 @@ class FusedProfileKernel:
                 f"features have {x.shape[1]} columns, centroids have "
                 f"{self.centroids.shape[1]}"
             )
-        distances = np.linalg.norm(
-            x[:, None, :] - self.centroids[None, :, :], axis=2
-        )
-        return self.clusters[np.argmin(distances, axis=1)]
+        return self.clusters[np.argmin(self._centroid_distances(x), axis=1)]
+
+    def _centroid_distances(self, x: np.ndarray) -> np.ndarray:
+        """N x K Euclidean distances from validated rows ``x`` to the centroids.
+
+        Squares the differences in place, 32 rows at a time, and takes one
+        square root at the end: the same floats as ``np.linalg.norm`` over
+        the whole ``(N, K, M)`` difference, without its two temporaries.
+        """
+        distances = np.empty((x.shape[0], self.n_clusters))
+        for start in range(0, x.shape[0], _CENTROID_BLOCK_ROWS):
+            stop = start + _CENTROID_BLOCK_ROWS
+            diff = x[start:stop, None, :] - self.centroids[None]
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=2, out=distances[start:stop])
+        return np.sqrt(distances, out=distances)
 
     def vote(self, features: np.ndarray) -> np.ndarray:
         """Forest + nearest-centroid vote, bit-identical to ``FrozenProfile.vote``."""

@@ -7,6 +7,8 @@ library itself depends solely on numpy).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cluster import (
     AgglomerativeClustering,
@@ -19,6 +21,7 @@ from repro.core.cluster import (
     threshold_for_k,
 )
 from repro.core.rca import rsca
+from repro.core.validation import silhouette_score
 from tests import cluster_oracle
 
 scipy_hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
@@ -108,6 +111,10 @@ class TestLinkageVsScipy:
             assert np.unique(a).size == np.unique(b).size == k
             assert len(set(zip(a.tolist(), b.tolist()))) == k
 
+    def test_ward_matches_oracle_at_paper_scale(self, full_dataset):
+        x = rsca(full_dataset.totals)
+        assert np.array_equal(linkage(x, "ward"), cluster_oracle.linkage(x, "ward"))
+
     def test_cophenetic_matches_scipy(self, rng):
         x = rng.normal(size=(25, 4))
         ours = linkage(x, "average")
@@ -158,6 +165,57 @@ class TestLinkageProperties:
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown linkage"):
             linkage(rng.normal(size=(5, 2)), "centroid")
+
+
+@st.composite
+def chain_inputs(draw):
+    """Rows for the chain: n in 2..150, some drawn from a small pool so
+    exact ties (duplicated rows) are common, on a coarse grid or not."""
+    n = draw(st.integers(2, 150))
+    dim = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=(n, dim))
+    if draw(st.booleans()):
+        x = x[gen.integers(0, draw(st.integers(1, n)), size=n)]
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    return x
+
+
+class TestChainMatchesOracle:
+    """The lazily refreshed chain against the column-writing one it
+    replaced: equal linkage matrices, ties included."""
+
+    @given(chain_inputs(), st.sampled_from(["ward", "single", "complete", "average"]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs(self, x, method):
+        assert np.array_equal(linkage(x, method), cluster_oracle.linkage(x, method))
+
+    @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
+    def test_chained_1d(self, method, rng):
+        # Each merge extends a neighbour of the last, so rows go stale
+        # over many merges before they are read again.
+        x = np.cumsum(rng.random(400))[:, None]
+        assert np.array_equal(linkage(x, method), cluster_oracle.linkage(x, method))
+
+
+class TestOverflow:
+    X = np.array([[0.0], [1e200], [2e200], [3.0]])
+
+    @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
+    def test_linkage_rejects(self, method):
+        with pytest.raises(ValueError, match="overflows"):
+            linkage(self.X, method)
+
+    def test_distances_and_silhouette_reject(self):
+        with pytest.raises(ValueError, match="overflows"):
+            pairwise_distances(self.X)
+        with pytest.raises(ValueError, match="overflows"):
+            silhouette_score(self.X, np.array([0, 0, 1, 1]))
+
+    def test_large_finite_scale_still_clusters(self):
+        x = np.array([[0.0], [1e153], [2e153], [3.0]])
+        assert np.all(np.isfinite(linkage(x, "ward")))
 
 
 class TestCutTree:

@@ -148,6 +148,19 @@ class TestFusedProfileKernel:
         queries = frozen.features + rng.normal(0, 1e-3, frozen.features.shape)
         assert np.array_equal(kernel.vote(queries), frozen.vote(queries))
 
+    @pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 400])
+    def test_blocked_centroid_distances_bit_identical(self, tiny_frozen, rng,
+                                                       n_rows):
+        # Block edges at 32 rows: one short, exact, one over, and many.
+        frozen, _totals = tiny_frozen
+        kernel = frozen.kernel()
+        picks = rng.integers(0, frozen.features.shape[0], n_rows)
+        queries = frozen.features[picks] + rng.normal(0, 0.5, (n_rows, frozen.features.shape[1]))
+        expected = np.linalg.norm(queries[:, None, :] - frozen.centroids[None], axis=2)
+        assert np.array_equal(kernel._centroid_distances(queries), expected)
+        assert np.array_equal(kernel.nearest_centroids(queries),
+                              frozen.nearest_centroids(queries))
+
     def test_rsca_and_fused_volume_path(self, tiny_frozen, rng):
         frozen, _totals = tiny_frozen
         kernel = frozen.kernel()
