@@ -30,7 +30,6 @@ from repro.core import (
     AgglomerativeClustering,
     ICNProfiler,
     KMeans,
-    PCA,
     dunn_index,
     rca,
     rsca,
@@ -49,7 +48,6 @@ __all__ = [
     "AgglomerativeClustering",
     "ICNProfiler",
     "KMeans",
-    "PCA",
     "rca",
     "rsca",
     "silhouette_score",

@@ -15,12 +15,6 @@ from repro.analysis.association import (
     cramers_v,
 )
 from repro.analysis.drift import ClusterMatch, DriftReport, compare_partitions
-from repro.analysis.markov import (
-    MarkovUsageModel,
-    activity_states,
-    cluster_markov_models,
-    fit_markov,
-)
 from repro.analysis.report import profile_report
 from repro.analysis.stability import (
     StabilityResult,
@@ -33,14 +27,9 @@ from repro.analysis.spatial import (
     paper_geography_checks,
     spatial_breakdown,
 )
-from repro.analysis.updown import (
-    most_uplink_heavy_services,
-    uplink_share_per_cluster,
-)
 from repro.analysis.temporal import (
     TemporalHeatmap,
     cluster_temporal_heatmap,
-    group_heatmaps,
     service_temporal_heatmap,
 )
 
@@ -53,10 +42,6 @@ __all__ = [
     "OutdoorComparison",
     "classify_outdoor",
     "profile_report",
-    "MarkovUsageModel",
-    "activity_states",
-    "fit_markov",
-    "cluster_markov_models",
     "AssociationResult",
     "association_test",
     "chi_square_statistic",
@@ -71,10 +56,7 @@ __all__ = [
     "spatial_breakdown",
     "city_cluster_inventory",
     "paper_geography_checks",
-    "uplink_share_per_cluster",
-    "most_uplink_heavy_services",
     "TemporalHeatmap",
     "cluster_temporal_heatmap",
     "service_temporal_heatmap",
-    "group_heatmaps",
 ]

@@ -11,13 +11,12 @@ strike-day suppression, event burstiness, and nighttime shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.datagen.calendar import STRIKE_DAY
 from repro.datagen.dataset import TrafficDataset
-from repro.utils.checks import check_matrix
 
 
 @dataclass
@@ -238,25 +237,3 @@ def service_temporal_heatmap(
     hourly = dataset.hourly_service(service, antenna_ids=members, window=window)
     hours = dataset.calendar.hours[window]
     return _to_heatmap(hourly, hours, cluster, service)
-
-
-def group_heatmaps(
-    dataset: TrafficDataset,
-    labels: Sequence[int],
-    clusters: Sequence[int],
-    service: Optional[str] = None,
-    window: Optional[slice] = None,
-    max_antennas: Optional[int] = 400,
-) -> Dict[int, TemporalHeatmap]:
-    """Heatmaps for several clusters (one dendrogram group's row of panels)."""
-    out: Dict[int, TemporalHeatmap] = {}
-    for cluster in clusters:
-        if service is None:
-            out[int(cluster)] = cluster_temporal_heatmap(
-                dataset, labels, int(cluster), window, max_antennas
-            )
-        else:
-            out[int(cluster)] = service_temporal_heatmap(
-                dataset, labels, int(cluster), service, window, max_antennas
-            )
-    return out

@@ -123,12 +123,7 @@ def global_cache_hit(
     network_traffic = matrix.sum(axis=0)
     cacheable = network_traffic * cacheable_fractions(catalog)
     order = np.argsort(cacheable)[::-1][:budget]
-    selected = np.zeros(len(catalog), dtype=bool)
-    selected[order] = True
-    return float(
-        (network_traffic * cacheable_fractions(catalog))[selected].sum()
-        / network_traffic.sum()
-    )
+    return float(cacheable[order].sum() / network_traffic.sum())
 
 
 def cluster_aware_gain(
@@ -154,17 +149,6 @@ def cluster_aware_gain(
     aware = sum(
         plans[c].hit_fraction * cluster_traffic[c] for c in plans
     ) / total
-
-    # The global policy serves every cluster with one selection.
-    network_traffic = matrix.sum(axis=0)
-    cacheable = cacheable_fractions(catalog)
-    order = np.argsort(network_traffic * cacheable)[::-1][:budget]
-    selected = np.zeros(len(catalog), dtype=bool)
-    selected[order] = True
-    global_hit = 0.0
-    for c in plans:
-        members = labels == c
-        traffic = matrix[members].sum(axis=0)
-        hit = float((traffic * cacheable)[selected].sum() / traffic.sum())
-        global_hit += hit * cluster_traffic[c] / total
-    return float(aware), float(global_hit)
+    # The global policy serves every cluster with one selection, so its
+    # traffic-weighted hit over the clusters is the nationwide hit.
+    return float(aware), global_cache_hit(matrix, catalog, budget)

@@ -14,7 +14,6 @@ from repro.core.cluster import (
     AgglomerativeClustering,
     Dendrogram,
     DendrogramNode,
-    cophenetic_distances,
     cut_tree,
     linkage,
     pairwise_distances,
@@ -24,20 +23,12 @@ from repro.core.validation import (
     KScanResult,
     davies_bouldin_index,
     dunn_index,
-    gap_statistic,
     scan_k,
     silhouette_samples,
     silhouette_score,
 )
-from repro.core.pca import PCA
-from repro.core.density import DBSCAN, NOISE
 from repro.core.spectral import SpectralClustering
-from repro.core.compare import (
-    KMeans,
-    adjusted_rand_index,
-    cluster_purity,
-    normalized_mutual_information,
-)
+from repro.core.compare import KMeans, adjusted_rand_index
 from repro.core.pipeline import ICNProfile, ICNProfiler
 
 __all__ = [
@@ -55,23 +46,16 @@ __all__ = [
     "linkage",
     "cut_tree",
     "threshold_for_k",
-    "cophenetic_distances",
     "pairwise_distances",
     "KScanResult",
     "silhouette_score",
     "silhouette_samples",
     "dunn_index",
     "davies_bouldin_index",
-    "gap_statistic",
     "scan_k",
-    "PCA",
     "SpectralClustering",
-    "DBSCAN",
-    "NOISE",
     "KMeans",
     "adjusted_rand_index",
-    "normalized_mutual_information",
-    "cluster_purity",
     "ICNProfile",
     "ICNProfiler",
 ]

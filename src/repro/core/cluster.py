@@ -311,22 +311,6 @@ def threshold_for_k(linkage_matrix: np.ndarray, n_clusters: int) -> float:
     return float((lower + upper) / 2.0)
 
 
-def cophenetic_distances(linkage_matrix: np.ndarray) -> np.ndarray:
-    """N x N matrix of cophenetic distances (merge height joining i and j)."""
-    z = np.asarray(linkage_matrix, dtype=float)
-    n = z.shape[0] + 1
-    members: Dict[int, np.ndarray] = {i: np.array([i]) for i in range(n)}
-    out = np.zeros((n, n))
-    for t in range(n - 1):
-        id_a, id_b, height = int(z[t, 0]), int(z[t, 1]), z[t, 2]
-        left = members.pop(id_a)
-        right = members.pop(id_b)
-        out[np.ix_(left, right)] = height
-        out[np.ix_(right, left)] = height
-        members[n + t] = np.concatenate([left, right])
-    return out
-
-
 @dataclass
 class DendrogramNode:
     """One node of the dendrogram tree."""

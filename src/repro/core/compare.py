@@ -3,14 +3,13 @@
 The reproduction needs to quantify how well a clustering recovers the
 generator's latent archetypes, and the ablation benchmarks compare the
 paper's agglomerative/Ward choice against the classical k-means baseline.
-Both are implemented from scratch here: adjusted Rand index, normalized
-mutual information, cluster purity, and Lloyd's algorithm with k-means++
-seeding.
+Both are implemented from scratch here: the adjusted Rand index and
+Lloyd's algorithm with k-means++ seeding.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,37 +59,6 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if max_index == expected:
         return 1.0
     return float((sum_cells - expected) / (max_index - expected))
-
-
-def normalized_mutual_information(labels_a, labels_b) -> float:
-    """NMI with arithmetic-mean normalization (0 = independent, 1 = same)."""
-    a, b = _validate_pair(labels_a, labels_b)
-    table = _contingency(a, b).astype(float)
-    n = a.size
-    joint = table / n
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    nz = joint > 0
-    mutual = float(
-        (joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum()
-    )
-
-    def entropy(p):
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
-
-    h_a, h_b = entropy(pa), entropy(pb)
-    denom = 0.5 * (h_a + h_b)
-    if denom == 0:
-        return 1.0
-    return mutual / denom
-
-
-def cluster_purity(predicted, reference) -> float:
-    """Fraction of samples in their cluster's majority reference class."""
-    a, b = _validate_pair(predicted, reference)
-    table = _contingency(a, b)
-    return float(table.max(axis=1).sum() / a.size)
 
 
 class KMeans:

@@ -271,51 +271,6 @@ class KScanResult:
         return max(drops, key=drops.get)
 
 
-def gap_statistic(
-    features: np.ndarray,
-    dendrogram: Dendrogram,
-    ks: Sequence[int] = range(2, 16),
-    n_references: int = 5,
-    random_state: int = 0,
-) -> Dict[int, float]:
-    """Tibshirani's gap statistic over flat cuts of one dendrogram.
-
-    Compares the log within-cluster dispersion of each cut against the
-    expectation under uniform reference data drawn in the feature
-    bounding box; larger gaps indicate stronger real structure.  An
-    extension beyond the paper's Silhouette/Dunn criterion.
-    """
-    x = check_matrix(features, "features")
-    if n_references < 1:
-        raise ValueError(f"n_references must be >= 1, got {n_references}")
-
-    def log_dispersion(data: np.ndarray, labels: np.ndarray) -> float:
-        total = 0.0
-        for cluster in np.unique(labels):
-            members = data[labels == cluster]
-            if members.shape[0] < 2:
-                continue
-            centroid = members.mean(axis=0)
-            total += float(((members - centroid) ** 2).sum())
-        return float(np.log(max(total, 1e-300)))
-
-    rng = np.random.default_rng(random_state)
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    reference_dispersions: Dict[int, List[float]] = {int(k): [] for k in ks}
-    for _ in range(n_references):
-        reference = rng.uniform(lo, hi, size=x.shape)
-        from repro.core.cluster import AgglomerativeClustering
-
-        model = AgglomerativeClustering(n_clusters=2).fit(reference)
-        for k, labels in model.dendrogram_.cuts(ks).items():
-            reference_dispersions[k].append(log_dispersion(reference, labels))
-    gaps: Dict[int, float] = {}
-    for k, labels in dendrogram.cuts(ks).items():
-        observed = log_dispersion(x, labels)
-        gaps[k] = float(np.mean(reference_dispersions[k]) - observed)
-    return gaps
-
-
 def scan_k(
     features: np.ndarray,
     dendrogram: Dendrogram,

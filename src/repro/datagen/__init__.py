@@ -41,12 +41,6 @@ from repro.datagen.temporal import TemporalModel
 from repro.datagen.traffic import TrafficModel
 from repro.datagen.outdoor import OutdoorAntenna, generate_outdoor, neighbours_within
 from repro.datagen.dataset import TrafficDataset, generate_dataset
-from repro.datagen.catalog_io import (
-    catalog_from_json,
-    catalog_to_json,
-    load_catalog,
-    save_catalog,
-)
 from repro.datagen.scenarios import (
     available_scenarios,
     scaled_specs,
@@ -107,8 +101,4 @@ __all__ = [
     "scenario",
     "available_scenarios",
     "scaled_specs",
-    "catalog_to_json",
-    "catalog_from_json",
-    "save_catalog",
-    "load_catalog",
 ]

@@ -13,10 +13,6 @@ from repro.explain.beeswarm import (
     ServiceImportance,
     explain_clusters,
 )
-from repro.explain.permutation import (
-    PermutationImportance,
-    permutation_importance,
-)
 
 __all__ = [
     "coalition_value_fn",
@@ -30,6 +26,4 @@ __all__ = [
     "ClusterExplanation",
     "ServiceImportance",
     "explain_clusters",
-    "PermutationImportance",
-    "permutation_importance",
 ]

@@ -10,7 +10,6 @@ from repro.forecast.models import (
     normalized_mae,
 )
 from repro.forecast.events import EventAwareProfile, event_mask_for_site
-from repro.forecast.intervals import IntervalForecast, IntervalWeeklyProfile
 from repro.forecast.evaluate import (
     BacktestResult,
     backtest_all_clusters,
@@ -29,8 +28,6 @@ __all__ = [
     "normalized_mae",
     "EventAwareProfile",
     "event_mask_for_site",
-    "IntervalForecast",
-    "IntervalWeeklyProfile",
     "BacktestResult",
     "backtest_cluster",
     "backtest_all_clusters",

@@ -1,14 +1,5 @@
 """CSV ingestion/export for operator-style traffic data."""
 
-from repro.io.plans import (
-    export_operations_json,
-    load_operations_json,
-    profile_to_dict,
-    schedules_from_dict,
-    schedules_to_dict,
-    slices_from_dict,
-    slices_to_dict,
-)
 from repro.io.csvio import (
     export_hourly_csv,
     export_totals_csv,
@@ -25,11 +16,4 @@ __all__ = [
     "iter_hourly_csv",
     "load_hourly_csv",
     "totals_from_hourly",
-    "profile_to_dict",
-    "slices_to_dict",
-    "slices_from_dict",
-    "schedules_to_dict",
-    "schedules_from_dict",
-    "export_operations_json",
-    "load_operations_json",
 ]

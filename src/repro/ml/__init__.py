@@ -13,7 +13,6 @@ from repro.ml.metrics import (
     accuracy,
     confusion_matrix,
     f1_scores,
-    macro_f1,
     train_test_split,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "f1_scores",
-    "macro_f1",
     "train_test_split",
 ]

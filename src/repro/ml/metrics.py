@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,11 +55,6 @@ def f1_scores(y_true, y_pred, labels=None) -> np.ndarray:
             0.0,
         )
     return f1
-
-
-def macro_f1(y_true, y_pred) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    return float(f1_scores(y_true, y_pred).mean())
 
 
 def train_test_split(

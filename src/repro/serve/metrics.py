@@ -338,14 +338,3 @@ class ServeMetrics:
     def prometheus_text(self) -> str:
         """This node's registry in the Prometheus text exposition format."""
         return self.registry.prometheus_text()
-
-
-def merge_batch_histograms(
-    histograms: Sequence[Dict[int, int]]
-) -> Dict[int, int]:
-    """Sum batch-size histograms from several servers into one."""
-    merged: Dict[int, int] = {}
-    for histogram in histograms:
-        for size, count in histogram.items():
-            merged[int(size)] = merged.get(int(size), 0) + int(count)
-    return merged

@@ -24,7 +24,7 @@ Quickstart::
     print(streamer.summary())
 """
 
-from repro.stream.batch import HourlyBatch, batch_from_rows
+from repro.stream.batch import HourlyBatch
 from repro.stream.source import replay_dataset, replay_hourly_csv, replay_tensor
 from repro.stream.accumulators import (
     IncrementalRSCA,
@@ -51,7 +51,6 @@ from repro.stream.profiler import (
 
 __all__ = [
     "HourlyBatch",
-    "batch_from_rows",
     "replay_dataset",
     "replay_tensor",
     "replay_hourly_csv",

@@ -11,7 +11,7 @@ grow, probes fail) and an explicit service column order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -80,18 +80,3 @@ class HourlyBatch:
             f"HourlyBatch(hour={self.hour}, rows={self.n_rows}, "
             f"services={self.n_services}, total={self.total_mb():.1f} MB)"
         )
-
-
-def batch_from_rows(
-    hour,
-    antenna_ids: Sequence[int],
-    traffic,
-    service_names: Sequence[str],
-) -> HourlyBatch:
-    """Convenience constructor coercing plain sequences into a batch."""
-    return HourlyBatch(
-        hour=np.datetime64(hour, "h"),
-        antenna_ids=np.asarray(antenna_ids, dtype=np.int64),
-        traffic=np.asarray(traffic, dtype=float),
-        service_names=tuple(service_names),
-    )

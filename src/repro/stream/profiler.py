@@ -276,16 +276,16 @@ class StreamingProfiler:
             n_common_antennas=stream_rows.size,
             refit_recommended=drifted,
         )
-        _log.log(
-            "warning" if drifted else "info",
-            "drift_check",
-            hour=str(signal.hour),
-            mean_centroid_drift=float(report.mean_centroid_drift),
-            n_common_antennas=signal.n_common_antennas,
-            emerging=len(report.emerging),
-            vanished=len(report.vanished),
-            refit_recommended=drifted,
-        )
+        if drifted:
+            _log.warning(
+                "drift_check",
+                hour=str(signal.hour),
+                mean_centroid_drift=float(report.mean_centroid_drift),
+                n_common_antennas=signal.n_common_antennas,
+                emerging=len(report.emerging),
+                vanished=len(report.vanished),
+                refit_recommended=drifted,
+            )
         return signal
 
     # ------------------------------------------------------------------

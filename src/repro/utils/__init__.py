@@ -2,12 +2,7 @@
 
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.assignment import hungarian, align_labels
-from repro.utils.checks import (
-    check_matrix,
-    check_positive,
-    check_probability,
-    check_in_range,
-)
+from repro.utils.checks import check_matrix, check_probability
 
 __all__ = [
     "derive_rng",
@@ -15,7 +10,5 @@ __all__ = [
     "hungarian",
     "align_labels",
     "check_matrix",
-    "check_positive",
     "check_probability",
-    "check_in_range",
 ]

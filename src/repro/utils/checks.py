@@ -27,25 +27,9 @@ def check_matrix(value, name: str, *, ndim: int = 2, non_negative: bool = False)
     return arr
 
 
-def check_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is a finite, strictly positive scalar."""
-    val = float(value)
-    if not np.isfinite(val) or val <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return val
-
-
 def check_probability(value: float, name: str) -> float:
     """Validate that ``value`` lies in [0, 1]."""
     val = float(value)
     if not np.isfinite(val) or not 0.0 <= val <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return val
-
-
-def check_in_range(value: float, name: str, low: float, high: float) -> float:
-    """Validate that ``value`` lies in the closed interval [low, high]."""
-    val = float(value)
-    if not np.isfinite(val) or not low <= val <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
     return val

@@ -7,14 +7,6 @@ from repro.viz.image import (
     save_temporal_figure,
     write_ppm,
 )
-from repro.viz.operations import (
-    render_capacity_schedule,
-    render_forecast_strip,
-    render_hour_profile,
-    render_pca_scatter,
-    render_sleep_calendar,
-    render_weekly_profile,
-)
 from repro.viz.render import (
     render_beeswarm_table,
     render_dendrogram_summary,
@@ -35,12 +27,6 @@ __all__ = [
     "render_rsca_heatmap",
     "render_sankey",
     "render_scan",
-    "render_hour_profile",
-    "render_weekly_profile",
-    "render_capacity_schedule",
-    "render_sleep_calendar",
-    "render_forecast_strip",
-    "render_pca_scatter",
     "matrix_to_image",
     "write_ppm",
     "read_ppm",

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.temporal import (
     TemporalHeatmap,
     cluster_temporal_heatmap,
-    group_heatmaps,
     service_temporal_heatmap,
 )
 from repro.datagen.calendar import STRIKE_DAY
@@ -126,12 +125,6 @@ class TestFromDataset:
         assert heatmap.service == "Spotify"
         peaks = heatmap.peak_hours(4)
         assert any(7 <= p <= 9 for p in peaks)
-
-    def test_group_heatmaps(self, small_dataset, small_profile):
-        heatmaps = group_heatmaps(
-            small_dataset, small_profile.labels, [0, 4], max_antennas=10
-        )
-        assert sorted(heatmaps) == [0, 4]
 
     def test_empty_cluster_rejected(self, small_dataset, small_profile):
         with pytest.raises(ValueError, match="no member antennas"):

@@ -114,6 +114,30 @@ class TestPolicies:
         )
         assert aware == pytest.approx(global_hit)
 
+    def test_global_hit_is_traffic_weighted_cluster_hit(
+        self, small_dataset, small_profile, catalog
+    ):
+        # The nationwide selection's hit in each cluster, weighted by the
+        # cluster's traffic, is the nationwide hit itself.
+        matrix = small_dataset.totals
+        labels = np.asarray(small_profile.labels)
+        cacheable = cacheable_fractions(catalog)
+        order = np.argsort(matrix.sum(axis=0) * cacheable)[::-1][:10]
+        selected = np.zeros(len(catalog), dtype=bool)
+        selected[order] = True
+        cluster_traffic = {
+            c: float(matrix[labels == c].sum()) for c in np.unique(labels)
+        }
+        total = sum(cluster_traffic.values())
+        weighted = 0.0
+        for c in cluster_traffic:
+            traffic = matrix[labels == c].sum(axis=0)
+            hit = float((traffic * cacheable)[selected].sum() / traffic.sum())
+            weighted += hit * cluster_traffic[c] / total
+        assert abs(weighted - global_cache_hit(matrix, catalog, 10)) < 1e-12
+        _, global_hit = cluster_aware_gain(matrix, labels, catalog, budget=10)
+        assert global_hit == global_cache_hit(matrix, catalog, 10)
+
 
 class TestCachePlanValidation:
     def test_hit_fraction_bounds(self):

@@ -14,7 +14,6 @@ from repro.core.cluster import (
     AgglomerativeClustering,
     Dendrogram,
     DendrogramNode,
-    cophenetic_distances,
     cut_tree,
     linkage,
     pairwise_distances,
@@ -114,17 +113,6 @@ class TestLinkageVsScipy:
     def test_ward_matches_oracle_at_paper_scale(self, full_dataset):
         x = rsca(full_dataset.totals)
         assert np.array_equal(linkage(x, "ward"), cluster_oracle.linkage(x, "ward"))
-
-    def test_cophenetic_matches_scipy(self, rng):
-        x = rng.normal(size=(25, 4))
-        ours = linkage(x, "average")
-        reference = scipy_hierarchy.linkage(x, method="average")
-        from scipy.spatial.distance import squareform
-
-        ref_coph = squareform(scipy_hierarchy.cophenet(reference))
-        np.testing.assert_allclose(
-            cophenetic_distances(ours), ref_coph, rtol=1e-8
-        )
 
 
 class TestLinkageProperties:

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.compare import (
-    KMeans,
-    adjusted_rand_index,
-    cluster_purity,
-    normalized_mutual_information,
-)
+from repro.core.compare import KMeans, adjusted_rand_index
 
 
 class TestAdjustedRandIndex:
@@ -54,46 +49,6 @@ class TestAdjustedRandIndex:
             adjusted_rand_index([0, 1], [0, 1, 2])
         with pytest.raises(ValueError, match="non-empty"):
             adjusted_rand_index([], [])
-
-
-class TestNMI:
-    def test_identical_is_one(self):
-        labels = [0, 1, 1, 2, 2, 2]
-        assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)
-
-    def test_permutation_invariant(self):
-        a = [0, 0, 1, 1]
-        b = [1, 1, 0, 0]
-        assert normalized_mutual_information(a, b) == pytest.approx(1.0)
-
-    def test_independent_near_zero(self, rng):
-        a = rng.integers(0, 3, size=3000)
-        b = rng.integers(0, 3, size=3000)
-        assert normalized_mutual_information(a, b) < 0.01
-
-    def test_bounds(self, rng):
-        a = rng.integers(0, 5, size=200)
-        b = rng.integers(0, 3, size=200)
-        value = normalized_mutual_information(a, b)
-        assert -1e-9 <= value <= 1.0 + 1e-9
-
-    def test_refinement_less_than_one(self):
-        coarse = [0, 0, 0, 0, 1, 1, 1, 1]
-        fine = [0, 0, 1, 1, 2, 2, 3, 3]
-        value = normalized_mutual_information(fine, coarse)
-        assert 0.5 < value < 1.0
-
-
-class TestPurity:
-    def test_perfect(self):
-        assert cluster_purity([0, 0, 1, 1], [5, 5, 9, 9]) == 1.0
-
-    def test_mixed(self):
-        # Cluster 0 = {a, a, b}: majority 2/3; cluster 1 = {b}: 1/1.
-        assert cluster_purity([0, 0, 0, 1], ["a", "a", "b", "b"]) == 0.75
-
-    def test_all_one_cluster(self):
-        assert cluster_purity([0, 0, 0, 0], [0, 0, 1, 1]) == 0.5
 
 
 class TestKMeans:

@@ -149,33 +149,6 @@ class TestScanK:
             result.drop_after("cohesion")
 
 
-class TestGapStatistic:
-    def test_gap_peaks_at_true_k(self, rng):
-        from repro.core.validation import gap_statistic
-        from repro.core.cluster import Dendrogram, linkage
-
-        centers = 10.0 * np.eye(4, 3)
-        x = np.vstack([
-            center + rng.normal(scale=0.3, size=(20, 3)) for center in centers
-        ])
-        dendrogram = Dendrogram(linkage(x, "ward"))
-        gaps = gap_statistic(x, dendrogram, ks=range(2, 9), n_references=3)
-        # The gap rises until the true k and flattens/drops after:
-        # pick the first k whose gap is within a small tolerance of max.
-        best = max(gaps, key=gaps.get)
-        assert best in (4, 5)
-        assert gaps[4] > gaps[2]
-
-    def test_reference_count_validated(self, rng):
-        from repro.core.validation import gap_statistic
-        from repro.core.cluster import Dendrogram, linkage
-
-        x = rng.normal(size=(20, 3))
-        dendrogram = Dendrogram(linkage(x, "ward"))
-        with pytest.raises(ValueError, match="n_references"):
-            gap_statistic(x, dendrogram, ks=[2], n_references=0)
-
-
 def _brute_silhouettes(points, labels):
     """Rousseeuw's definition, pure Python, O(N^2)."""
     def dist(i, j):

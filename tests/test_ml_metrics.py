@@ -7,7 +7,6 @@ from repro.ml.metrics import (
     accuracy,
     confusion_matrix,
     f1_scores,
-    macro_f1,
     train_test_split,
 )
 
@@ -62,10 +61,6 @@ class TestF1:
     def test_absent_prediction_zero(self):
         scores = f1_scores([0, 1], [0, 0])
         assert scores[1] == 0.0
-
-    def test_macro_mean(self):
-        scores = f1_scores([0, 1, 1], [0, 0, 1])
-        assert macro_f1([0, 1, 1], [0, 0, 1]) == pytest.approx(scores.mean())
 
 
 class TestSplit:

@@ -6,13 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.compare import (
-    KMeans,
-    adjusted_rand_index,
-    cluster_purity,
-    normalized_mutual_information,
-)
-from repro.core.pca import PCA
+from repro.core.compare import KMeans, adjusted_rand_index
 from repro.forecast.models import (
     SeasonalNaive,
     WeeklyProfile,
@@ -57,27 +51,6 @@ class TestAgreementMetricProperties:
             adjusted_rand_index(b, a)
         )
 
-    @given(label_vectors)
-    @settings(max_examples=50, deadline=None)
-    def test_nmi_reflexive_and_bounded(self, labels):
-        value = normalized_mutual_information(labels, labels)
-        assert value == pytest.approx(1.0)
-
-    @given(label_pairs())
-    @settings(max_examples=50, deadline=None)
-    def test_nmi_symmetric(self, pair):
-        a, b = pair
-        assert normalized_mutual_information(a, b) == pytest.approx(
-            normalized_mutual_information(b, a)
-        )
-
-    @given(label_pairs())
-    @settings(max_examples=50, deadline=None)
-    def test_purity_bounds(self, pair):
-        predicted, reference = pair
-        value = cluster_purity(predicted, reference)
-        assert 0.0 < value <= 1.0
-
     @given(label_vectors, st.permutations(list(range(5))))
     @settings(max_examples=50, deadline=None)
     def test_ari_label_permutation_invariant(self, labels, perm):
@@ -110,37 +83,6 @@ class TestKMeansProperties:
         assume(np.unique(x, axis=0).shape[0] >= k)
         model = KMeans(n_clusters=k, n_init=2, random_state=0).fit(x)
         np.testing.assert_array_equal(model.predict(x), model.labels_)
-
-
-class TestPCAProperties:
-    @given(small_matrices)
-    @settings(max_examples=25, deadline=None)
-    def test_transform_preserves_total_variance(self, x):
-        assume(x.shape[0] >= 3)
-        assume(np.linalg.matrix_rank(x - x.mean(axis=0)) >= 1)
-        pca = PCA().fit(x)
-        projected = pca.transform(x)
-        original_var = np.var(x - x.mean(axis=0), axis=0, ddof=1).sum()
-        projected_var = np.var(projected, axis=0, ddof=1).sum()
-        assert projected_var == pytest.approx(original_var, rel=1e-6)
-
-    @given(small_matrices)
-    @settings(max_examples=25, deadline=None)
-    def test_full_roundtrip(self, x):
-        assume(x.shape[0] >= 3)
-        pca = PCA().fit(x)
-        recovered = pca.inverse_transform(pca.transform(x))
-        np.testing.assert_allclose(recovered, x, atol=1e-6)
-
-    @given(small_matrices)
-    @settings(max_examples=25, deadline=None)
-    def test_ratios_sorted_and_normalized(self, x):
-        assume(x.shape[0] >= 3)
-        pca = PCA().fit(x)
-        ratios = pca.explained_variance_ratio_
-        assert np.all(np.diff(ratios) <= 1e-9)
-        total = ratios.sum()
-        assert total == pytest.approx(1.0) or total == pytest.approx(0.0)
 
 
 class TestForecastProperties:
@@ -190,24 +132,3 @@ class TestDriftProperties:
         assert not report.emerging and not report.vanished
         assert report.mean_centroid_drift == pytest.approx(0.0, abs=1e-9)
         assert all(m.membership_overlap == 1.0 for m in report.matches)
-
-
-long_positive_series = arrays(
-    dtype=float,
-    shape=st.integers(4 * 168, 5 * 168),
-    elements=st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
-)
-
-
-class TestIntervalProperties:
-    @given(long_positive_series, st.floats(min_value=0.5, max_value=0.95))
-    @settings(max_examples=15, deadline=None)
-    def test_interval_brackets_point(self, series, coverage):
-        from repro.forecast.intervals import IntervalWeeklyProfile
-
-        forecast = IntervalWeeklyProfile(
-            coverage=coverage, calibration_weeks=1
-        ).fit(series).forecast(168)
-        assert np.all(forecast.lower <= forecast.point + 1e-9)
-        assert np.all(forecast.point <= forecast.upper + 1e-9)
-        assert np.all(forecast.lower >= 0)

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.serve.metrics import (
-    LatencyReservoir,
-    ServeMetrics,
-    merge_batch_histograms,
-)
+from repro.serve.metrics import LatencyReservoir, ServeMetrics
 
 
 class TestLatencyReservoir:
@@ -106,8 +102,3 @@ class TestServeMetrics:
         assert "requests served" in text
         assert "cache hit rate:    n/a" in text
         assert "p95" in text
-
-
-def test_merge_batch_histograms():
-    merged = merge_batch_histograms([{1: 2, 8: 1}, {8: 3}, {}])
-    assert merged == {1: 2, 8: 4}

@@ -7,7 +7,6 @@ import pytest
 
 from repro.stream import (
     HourlyBatch,
-    batch_from_rows,
     replay_dataset,
     replay_hourly_csv,
     replay_tensor,
@@ -39,8 +38,8 @@ class TestHourlyBatch:
         assert batch.hour == HOUR
 
     def test_coerces_types(self):
-        batch = batch_from_rows("2023-01-09T05", [3, 4],
-                                [[1, 2, 3], [4, 5, 6]], list(SERVICES))
+        batch = HourlyBatch("2023-01-09T05", [3, 4],
+                            [[1, 2, 3], [4, 5, 6]], list(SERVICES))
         assert batch.antenna_ids.dtype == np.int64
         assert batch.traffic.dtype == float
         assert batch.hour == np.datetime64("2023-01-09T05", "h")

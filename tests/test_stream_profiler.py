@@ -1,5 +1,8 @@
 """Tests for the frozen-profile artifact and the streaming profiler."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.datagen.calendar import StudyCalendar
 from repro.datagen.dataset import generate_dataset
 from repro.ml.compiled import FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
+from repro.obs import set_log_level, set_log_stream
 from repro.stream import (
     FrozenProfile,
     StreamingProfiler,
@@ -196,6 +200,30 @@ class TestStreamingProfiler:
         high = shifted.check_drift()
         assert high.mean_centroid_drift > low.mean_centroid_drift
         assert high.refit_recommended
+
+    def test_drift_logs_only_a_recommended_refit(self, frozen, batches):
+        quiet = StreamingProfiler(frozen, window_hours=24, classify_every=0)
+        loud = StreamingProfiler(frozen, window_hours=24, classify_every=0,
+                                 drift_threshold=1e-9)
+        for batch in batches:
+            quiet.ingest(batch)
+            loud.ingest(batch)
+        sink = io.StringIO()
+        previous_stream = set_log_stream(sink)
+        previous_level = set_log_level("info")
+        try:
+            assert not quiet.check_drift().refit_recommended
+            assert sink.getvalue() == ""
+            assert loud.check_drift().refit_recommended
+        finally:
+            set_log_stream(previous_stream)
+            set_log_level(previous_level)
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [(r["level"], r["event"]) for r in records] == [
+            ("warning", "drift_check")
+        ]
+        assert records[0]["refit_recommended"] is True
+        assert quiet.metrics.count("drift_checks") == 1
 
     def test_scheduled_drift_checks(self, frozen, batches):
         streamer = StreamingProfiler(frozen, window_hours=24,

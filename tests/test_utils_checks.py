@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.checks import (
-    check_in_range,
-    check_matrix,
-    check_positive,
-    check_probability,
-)
+from repro.utils.checks import check_matrix, check_probability
 
 
 class TestCheckMatrix:
@@ -47,14 +42,6 @@ class TestCheckMatrix:
 
 
 class TestScalarChecks:
-    def test_positive_accepts(self):
-        assert check_positive(2.5, "x") == 2.5
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_positive_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_positive(bad, "x")
-
     def test_probability_bounds(self):
         assert check_probability(0.0, "p") == 0.0
         assert check_probability(1.0, "p") == 1.0
@@ -63,8 +50,3 @@ class TestScalarChecks:
     def test_probability_rejects(self, bad):
         with pytest.raises(ValueError):
             check_probability(bad, "p")
-
-    def test_in_range(self):
-        assert check_in_range(5.0, "x", 0.0, 10.0) == 5.0
-        with pytest.raises(ValueError):
-            check_in_range(11.0, "x", 0.0, 10.0)
