@@ -86,7 +86,7 @@ def main():
 
     disable_tracing()
     print("\ntracing disabled — span() is now a no-op "
-          "(see benchmarks/test_perf_obs.py for the overhead numbers)")
+          "(python -m bench run --trace 1 reports bench.trace_overhead)")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,6 @@ Subcommands:
   (micro-batching, LRU+TTL cache, admission control; ``repro.serve``)
   with the SLO engine and burn-rate alerting attached: ``/healthz``
   readiness, ``/slo`` budget reports, alert gauges on ``/metrics``.
-* ``bench-serve`` — measure serving throughput/latency (unbatched vs
-  micro-batched at several worker counts) and write ``BENCH_serve.json``.
-* ``bench-forest`` — measure raw classify throughput of the object
-  forest vs the array-compiled kernel (``repro.ml.compiled``) across
-  micro-batch sizes, prove bit-identity, and write ``BENCH_forest.json``.
 * ``obs``        — observability tooling (``repro.obs``):
   ``obs trace-export`` runs the instrumented pipeline end-to-end with
   tracing on and writes Chrome ``trace_event`` JSON for flamegraph
@@ -221,7 +216,7 @@ def _serve_frozen_profile(args):
 
     from repro.stream import FrozenProfile
 
-    if getattr(args, "frozen", None):
+    if args.frozen:
         artifact = Path(args.frozen)
         if not artifact.is_file():
             print(
@@ -328,57 +323,6 @@ def _cmd_serve(args) -> int:
 
             disable_tracing()
         print(service.metrics.summary())
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    import json as json_module
-
-    from repro.serve import format_report, run_serve_benchmark
-
-    frozen, error = _serve_frozen_profile(args)
-    if error is not None:
-        return error
-    report = run_serve_benchmark(
-        frozen,
-        n_queries=args.queries,
-        worker_counts=args.workers,
-        max_batch=args.max_batch,
-        hot_set=args.hot_set,
-    )
-    print(format_report(report))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json_module.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_bench_forest(args) -> int:
-    import json as json_module
-
-    from repro.ml.bench import format_forest_report, run_forest_benchmark
-
-    frozen, error = _serve_frozen_profile(args)
-    if error is not None:
-        return error
-    try:
-        report = run_forest_benchmark(
-            frozen,
-            n_queries=args.queries,
-            batch_sizes=args.batch_sizes,
-            repeats=args.repeats,
-        )
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    print(format_forest_report(report))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json_module.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
     return 0
 
 
@@ -506,20 +450,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _worker_list(text: str) -> List[int]:
-    try:
-        workers = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-    if not workers or any(w < 1 for w in workers):
-        raise argparse.ArgumentTypeError(
-            f"worker counts must be >= 1, got {text!r}"
-        )
-    return workers
 
 
 def _port_number(text: str) -> int:
@@ -746,55 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request")
     serve.set_defaults(func=_cmd_serve)
-
-    bench = sub.add_parser(
-        "bench-serve",
-        help="benchmark serving throughput and write BENCH_serve.json",
-    )
-    bench.add_argument("--dataset", help="existing .npz dataset (else generate)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--clusters", type=int, default=9)
-    bench.add_argument("--align", action="store_true")
-    bench.add_argument("--frozen",
-                       help="benchmark this FrozenProfile .npz instead of fitting")
-    bench.add_argument("--queries", type=_positive_int, default=2000,
-                       help="total single-vector queries per workload")
-    bench.add_argument("--workers", type=_worker_list, default=[1, 4, 8],
-                       help="comma-separated worker counts to sweep")
-    bench.add_argument("--max-batch", type=_positive_int, default=64)
-    bench.add_argument("--hot-set", type=_positive_int, default=64,
-                       help="distinct vectors in the cache workload")
-    bench.add_argument("--output", default="BENCH_serve.json",
-                       help="write the JSON report here ('' skips the file)")
-    bench.set_defaults(func=_cmd_bench_serve)
-
-    forest_bench = sub.add_parser(
-        "bench-forest",
-        help="benchmark object vs compiled forest inference and write "
-             "BENCH_forest.json",
-    )
-    forest_bench.add_argument("--dataset",
-                              help="existing .npz dataset (else generate)")
-    forest_bench.add_argument("--seed", type=int, default=0)
-    forest_bench.add_argument("--clusters", type=int, default=9)
-    forest_bench.add_argument("--align", action="store_true")
-    forest_bench.add_argument(
-        "--frozen",
-        help="benchmark this FrozenProfile .npz instead of fitting",
-    )
-    forest_bench.add_argument("--queries", type=_positive_int, default=512,
-                              help="query rows per timed pass")
-    forest_bench.add_argument(
-        "--batch-sizes", type=_worker_list, default=[1, 64, 256],
-        help="comma-separated micro-batch sizes to sweep",
-    )
-    forest_bench.add_argument("--repeats", type=_positive_int, default=2,
-                              help="timed passes per path (best kept)")
-    forest_bench.add_argument(
-        "--output", default="BENCH_forest.json",
-        help="write the JSON report here ('' skips the file)",
-    )
-    forest_bench.set_defaults(func=_cmd_bench_forest)
 
     obs = sub.add_parser(
         "obs",

@@ -190,16 +190,6 @@ class TrafficModel:
                 out[i, cols] = totals[antenna.antenna_id, cols] * fraction
         return out
 
-    def downlink_totals(self) -> np.ndarray:
-        """Downlink component of the totals matrix."""
-        dl = np.array([svc.downlink_fraction for svc in self.catalog])
-        return self.totals() * dl[None, :]
-
-    def uplink_totals(self) -> np.ndarray:
-        """Uplink component of the totals matrix."""
-        dl = np.array([svc.downlink_fraction for svc in self.catalog])
-        return self.totals() * (1.0 - dl)[None, :]
-
     # ------------------------------------------------------------------
     # Hourly series
     # ------------------------------------------------------------------

@@ -9,12 +9,7 @@ from repro.ml.compiled import (
     compile_forest,
     compile_tree,
 )
-from repro.ml.metrics import (
-    accuracy,
-    confusion_matrix,
-    f1_scores,
-    train_test_split,
-)
+from repro.ml.metrics import accuracy, train_test_split
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -27,7 +22,5 @@ __all__ = [
     "compile_forest",
     "compile_tree",
     "accuracy",
-    "confusion_matrix",
-    "f1_scores",
     "train_test_split",
 ]

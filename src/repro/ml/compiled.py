@@ -316,7 +316,8 @@ class FusedProfileKernel:
     contiguous-array operations and zero object-graph walks.  Every output is bit-identical to the
     corresponding :class:`~repro.stream.frozen.FrozenProfile` method
     (``vote``, ``rsca_of_volumes``), which the equivalence suite and the
-    ``bench-forest`` harness both assert.
+    ``pipeline-paper`` benchmark's ``kernel_vote_bit_identical`` check
+    both assert.
 
     Args:
         forest: the compiled surrogate forest.

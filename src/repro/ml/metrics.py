@@ -20,43 +20,6 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Confusion matrix C with C[i, j] = count(true == i, pred == j)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(
-            f"shape mismatch: y_true {y_true.shape} vs y_pred {y_pred.shape}"
-        )
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    labels = np.asarray(labels)
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    matrix = np.zeros((labels.size, labels.size), dtype=int)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        matrix[index[t], index[p]] += 1
-    return matrix
-
-
-def f1_scores(y_true, y_pred, labels=None) -> np.ndarray:
-    """Per-class F1 scores (0 where precision + recall is 0)."""
-    if labels is None:
-        labels = np.unique(np.concatenate([np.asarray(y_true), np.asarray(y_pred)]))
-    matrix = confusion_matrix(y_true, y_pred, labels)
-    true_pos = np.diag(matrix).astype(float)
-    predicted = matrix.sum(axis=0).astype(float)
-    actual = matrix.sum(axis=1).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(predicted > 0, true_pos / predicted, 0.0)
-        recall = np.where(actual > 0, true_pos / actual, 0.0)
-        f1 = np.where(
-            precision + recall > 0,
-            2 * precision * recall / (precision + recall),
-            0.0,
-        )
-    return f1
-
-
 def train_test_split(
     x: np.ndarray,
     y: np.ndarray,

@@ -7,7 +7,8 @@ Two attachment points:
   span (a no-op when tracing is off) and folds the stage's wall-clock
   into the shared registry's ``repro_stage_seconds{stage=...}``
   histogram.  Cheap enough to leave on permanently
-  (``benchmarks/test_perf_obs.py`` bounds the overhead below 5%).
+  (``python -m bench run --trace 1`` reports the cost as
+  ``bench.trace_overhead``).
 * :func:`profile_stage` — the heavyweight on-demand profiler: wall
   seconds, CPU seconds (:func:`time.process_time`), peak RSS
   (``resource.getrusage``), and optionally peak *traced* allocation via

@@ -11,7 +11,8 @@ its trace memory unboundedly.
 
 Tracing is **off by default** and the disabled fast path is a couple of
 attribute loads, so instrumentation can stay in hot paths permanently
-(see ``benchmarks/test_perf_obs.py`` for the overhead bound).  Turn it
+(``python -m bench run --trace 1`` reports the traced run's cost as
+``bench.trace_overhead``).  Turn it
 on with :func:`enable_tracing`, then export with
 :meth:`TraceStore.export_chrome` — the output is Chrome
 ``trace_event`` JSON that loads directly into ``chrome://tracing`` /

@@ -40,7 +40,6 @@ from repro.serve.service import (
     ProfileService,
     ServeDegradePolicy,
 )
-from repro.serve.bench import format_report, run_serve_benchmark
 from repro.serve.http import ServeHTTPServer, make_server
 
 __all__ = [
@@ -58,8 +57,6 @@ __all__ = [
     "ServeHTTPServer",
     "ServeMetrics",
     "ShedRequest",
-    "format_report",
     "make_server",
     "quantize_key",
-    "run_serve_benchmark",
 ]

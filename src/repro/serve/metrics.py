@@ -329,9 +329,9 @@ class ServeMetrics:
             "counters": counters,
             "batch_size_histogram": histogram,
             "derived": derived,
-            # Monotonic stamp so TSDB ingestion and bench_compare diffs
-            # can reject a stale (cached / re-served) snapshot: any
-            # fresh read has a strictly larger value within a process.
+            # Monotonic stamp so TSDB ingestion can reject a stale
+            # (cached / re-served) snapshot: any fresh read has a
+            # strictly larger value within a process.
             "snapshot_ts": time.monotonic(),
         }
 

@@ -156,8 +156,8 @@ class StreamMetrics:
                     self.classification_latency() * 1e3 if calls else None
                 ),
             },
-            # Monotonic stamp so TSDB ingestion and bench_compare diffs
-            # can reject a stale (cached / re-served) snapshot.
+            # Monotonic stamp so TSDB ingestion can reject a stale
+            # (cached / re-served) snapshot.
             "snapshot_ts": time.monotonic(),
         }
 

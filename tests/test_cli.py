@@ -171,53 +171,6 @@ class TestNewCommands:
         assert "serving profile version 1" in out
         assert "requests served" in out
 
-    def test_bench_serve_writes_report(self, tmp_path, capsys):
-        from tests.conftest import build_frozen_profile
-
-        frozen, _ = build_frozen_profile()
-        artifact = tmp_path / "frozen.npz"
-        frozen.save(artifact)
-        output = tmp_path / "BENCH_serve.json"
-        assert main(["bench-serve", "--frozen", str(artifact),
-                     "--queries", "120", "--workers", "1,2",
-                     "--max-batch", "16", "--hot-set", "16",
-                     "--output", str(output)]) == 0
-        import json
-
-        report = json.loads(output.read_text())
-        assert report["unbatched"]["qps"] > 0
-        assert len(report["batched"]) == 2
-        assert report["cached"]["hit_rate"] > 0
-        assert "speedup" in report
-        out = capsys.readouterr().out
-        assert "micro-batching speedup" in out
-
-    def test_bench_forest_writes_report(self, tmp_path, capsys):
-        from tests.conftest import build_frozen_profile
-
-        frozen, _ = build_frozen_profile()
-        artifact = tmp_path / "frozen.npz"
-        frozen.save(artifact)
-        output = tmp_path / "BENCH_forest.json"
-        assert main(["bench-forest", "--frozen", str(artifact),
-                     "--queries", "64", "--batch-sizes", "1,16",
-                     "--repeats", "1", "--output", str(output)]) == 0
-        import json
-
-        report = json.loads(output.read_text())
-        assert report["equivalence"]["bit_identical"] is True
-        assert len(report["batches"]) == 2
-        assert report["speedup"] > 0
-        assert report["fused_volume"]["speedup"] > 0
-        out = capsys.readouterr().out
-        assert "compiled-kernel speedup" in out
-
-    def test_bench_forest_missing_artifact_errors(self, tmp_path, capsys):
-        missing = tmp_path / "nope.npz"
-        assert main(["bench-forest", "--frozen", str(missing),
-                     "--output", ""]) == 2
-        assert "does not exist" in capsys.readouterr().err
-
     def test_obs_trace_export(self, dataset_file, tmp_path, capsys):
         import json
 

@@ -62,31 +62,3 @@ class TestServeArguments:
         assert args.max_batch == 32
         assert args.workers == 4
         assert args.cache_ttl == pytest.approx(30.0)
-
-
-class TestBenchServeArguments:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bench-serve", "--queries", "0"],
-            ["bench-serve", "--workers", "0"],
-            ["bench-serve", "--workers", "1,x"],
-            ["bench-serve", "--workers", ""],
-            ["bench-serve", "--max-batch", "-3"],
-        ],
-    )
-    def test_invalid_bench_arguments_exit_2(self, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-
-    def test_worker_list_parses(self):
-        args = build_parser().parse_args(
-            ["bench-serve", "--workers", "1,4,8"]
-        )
-        assert args.workers == [1, 4, 8]
-
-    def test_missing_frozen_artifact(self, tmp_path, capsys):
-        code = main(["bench-serve", "--frozen", str(tmp_path / "nope.npz")])
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err

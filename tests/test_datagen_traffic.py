@@ -44,13 +44,6 @@ class TestTotals:
         assert commuters > popularity[spotify]
         assert offices < popularity[spotify]
 
-    def test_downlink_uplink_partition(self, small_dataset):
-        model = small_dataset.model
-        np.testing.assert_allclose(
-            model.downlink_totals() + model.uplink_totals(), model.totals()
-        )
-        assert np.all(model.downlink_totals() >= 0)
-
     def test_volumes_scale_with_environment(self, small_dataset):
         vols = small_dataset.model.volumes()
         env = small_dataset.environment_types()

@@ -8,14 +8,12 @@ tolerances — what the object forest produces, across direct calls,
 
 import copy
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.bench import format_forest_report, run_forest_benchmark
 from repro.ml.compiled import (
     FusedProfileKernel,
     compile_forest,
@@ -382,40 +380,3 @@ class TestTraversal:
                                   tree.decision_path_leaf(queries))
         assert np.array_equal(compiled.predict_proba(queries),
                               forest.predict_proba(queries))
-
-
-class TestForestBenchHarness:
-    def test_report_shape_and_equivalence(self, tiny_frozen):
-        frozen, _totals = tiny_frozen
-        report = run_forest_benchmark(
-            frozen, n_queries=48, batch_sizes=(1, 16), repeats=1
-        )
-        assert report["equivalence"]["bit_identical"] is True
-        assert report["equivalence"]["votes_identical"] is True
-        assert [b["batch_size"] for b in report["batches"]] == [1, 16]
-        for entry in report["batches"]:
-            assert entry["object_rows_per_s"] > 0
-            assert entry["compiled_rows_per_s"] > 0
-            assert entry["speedup"] > 0
-        assert report["speedup"] == report["batches"][-1]["speedup"]
-        assert report["fused_volume"]["speedup"] > 0
-        json.dumps(report)  # must be JSON-serializable as-is
-        text = format_forest_report(report)
-        assert "compiled-kernel speedup" in text
-
-    def test_refuses_non_identical_kernel(self):
-        frozen, _totals = build_frozen_profile(n_antennas=60, n_services=6,
-                                               n_clusters=3)
-        compiled = frozen.compiled_forest()
-        frozen.compiled = dataclasses.replace(compiled, values=compiled.values * 2.0)
-        frozen._kernel = None  # drop any cached kernel
-        with pytest.raises(RuntimeError, match="bit-identical"):
-            run_forest_benchmark(frozen, n_queries=16, batch_sizes=(4,),
-                                 repeats=1)
-
-    def test_rejects_bad_parameters(self, tiny_frozen):
-        frozen, _totals = tiny_frozen
-        with pytest.raises(ValueError, match="n_queries"):
-            run_forest_benchmark(frozen, n_queries=0)
-        with pytest.raises(ValueError, match="batch_sizes"):
-            run_forest_benchmark(frozen, n_queries=4, batch_sizes=())

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import (
-    accuracy,
-    confusion_matrix,
-    f1_scores,
-    train_test_split,
-)
+from repro.ml.metrics import accuracy, train_test_split
 
 
 class TestAccuracy:
@@ -25,42 +20,6 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             accuracy([], [])
-
-
-class TestConfusionMatrix:
-    def test_hand_computed(self):
-        matrix = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        np.testing.assert_array_equal(matrix, [[1, 1], [0, 2]])
-
-    def test_diagonal_sums_to_correct(self):
-        y_true = [0, 1, 2, 2, 1]
-        y_pred = [0, 1, 1, 2, 0]
-        matrix = confusion_matrix(y_true, y_pred)
-        assert np.trace(matrix) == 3
-
-    def test_explicit_labels_order(self):
-        matrix = confusion_matrix([1, 0], [1, 0], labels=[1, 0])
-        np.testing.assert_array_equal(matrix, [[1, 0], [0, 1]])
-
-    def test_rows_sum_to_class_counts(self):
-        y_true = np.array([0, 0, 0, 1, 1, 2])
-        y_pred = np.array([0, 1, 2, 1, 1, 2])
-        matrix = confusion_matrix(y_true, y_pred)
-        np.testing.assert_array_equal(matrix.sum(axis=1), [3, 2, 1])
-
-
-class TestF1:
-    def test_perfect_f1(self):
-        np.testing.assert_allclose(f1_scores([0, 1], [0, 1]), [1.0, 1.0])
-
-    def test_hand_computed(self):
-        # Class 0: precision 1/2, recall 1/1 -> F1 = 2/3.
-        scores = f1_scores([0, 1, 1], [0, 0, 1])
-        assert scores[0] == pytest.approx(2.0 / 3.0)
-
-    def test_absent_prediction_zero(self):
-        scores = f1_scores([0, 1], [0, 0])
-        assert scores[1] == 0.0
 
 
 class TestSplit:

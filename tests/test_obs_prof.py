@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.obs.prof import ContinuousProfiler
 from repro.obs.registry import MetricsRegistry
 
@@ -202,3 +203,28 @@ class TestLifecycleAndBudget:
                      "repro_prof_overhead_ratio",
                      "repro_prof_sample_seconds"):
             assert name in text
+
+    def test_sampling_cost_stays_within_budget(self):
+        """Summed snapshot cost <= ``max_overhead`` x elapsed + one tick.
+
+        Each tick waits at least ``cost / max_overhead`` after sampling,
+        so every finished tick spends at most ``max_overhead`` of its
+        wall time sampling; only the last tick, cut short by ``stop``,
+        can exceed it.  Cost and elapsed time come from one clock, so
+        the bound holds on any host.
+        """
+        hz = build_parser().parse_args(["serve"]).profile_hz
+        registry = MetricsRegistry()
+        prof = ContinuousProfiler(hz=hz, registry=registry)
+        with BusyThread():
+            started = time.monotonic()
+            with prof:
+                time.sleep(1.0)
+            elapsed = time.monotonic() - started
+        assert prof.stats()["snapshot_passes"] > 0
+        ticks = registry.get("repro_prof_sample_seconds")
+        # The bucket holding the slowest tick bounds that tick's cost.
+        worst_tick = next(bound for bound, cumulative
+                          in ticks.cumulative_buckets()
+                          if cumulative == ticks.count)
+        assert ticks.sum <= prof.max_overhead * elapsed + worst_tick

@@ -98,6 +98,31 @@ class TestTimedStage:
         [record] = traced.spans()
         assert record.error is True
 
+    def test_retains_exemplars_with_slo_engine_attached(self, traced):
+        from repro.obs.alerts import AlertManager, default_rules
+        from repro.obs.slo import SLOEngine, default_slos
+
+        registry = MetricsRegistry()
+        clock = {"t": 0.0}
+        engine = SLOEngine(default_slos(registry, window_s=60.0),
+                           registry=registry, clock=lambda: clock["t"])
+        manager = AlertManager(engine, default_rules(engine),
+                               registry=registry, clock=lambda: clock["t"])
+        for _ in range(3):
+            with timed_stage("serve.vote", registry=registry, rows=4):
+                pass
+            clock["t"] += 1.0
+            engine.tick()
+            manager.evaluate()
+        family = registry.get("repro_stage_seconds")
+        exemplars = [e for _, child in family.series()
+                     for e in child.exemplars()]
+        assert exemplars
+        assert {e.trace_id for e in exemplars} <= {
+            s.trace_id for s in traced.spans()
+        }
+        assert engine.n_samples("serve-availability") == 3
+
 
 class TestPipelineIntegration:
     def test_pipeline_fit_emits_stage_spans(self, traced):

@@ -2,6 +2,10 @@
 cross-process span assembly, and greppable Chrome exports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,23 @@ from repro.obs.trace import (
     inject,
     span,
 )
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A child process that joins the parent's trace through the
+#: ``traceparent`` in its environment and exports its spans to argv[1].
+_CHILD_SCRIPT = """
+import os, sys
+from repro.obs.trace import TraceContext, enable_tracing, span
+
+store = enable_tracing(capacity=16)
+parent = TraceContext.from_traceparent(os.environ["TRACEPARENT"])
+with span("child.process", parent=parent):
+    with span("child.work"):
+        pass
+store.export_spans(sys.argv[1])
+"""
 
 
 @pytest.fixture()
@@ -194,6 +215,25 @@ class TestCrossProcessAssembly:
         assert child_record.span_id in {
             s.span_id for s in traced.spans()
         }
+
+    def test_real_child_process_joins_through_traceparent(
+        self, traced, tmp_path
+    ):
+        path = tmp_path / "child_spans.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_SRC), env.get("PYTHONPATH")])
+        )
+        with span("parent.dispatch") as parent:
+            env["TRACEPARENT"] = current_context().to_traceparent()
+            subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, str(path)],
+                           env=env, check=True, timeout=120)
+        assert traced.merge_file(path) == 2
+        trace = [s for s in traced.spans() if s.trace_id == parent.trace_id]
+        assert len({s.pid for s in trace}) == 2
+        [child] = [s for s in trace if s.name == "child.process"]
+        assert child.parent_id == parent.span_id
+        assert child.pid != os.getpid()
 
     def test_merge_rejects_bad_payload(self, traced):
         with pytest.raises(ValueError, match="spans"):

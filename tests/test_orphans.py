@@ -1,8 +1,7 @@
 """Every module in ``src/repro`` has a caller outside its own tests.
 
 A module stays only if something other than its unit tests uses it: the
-library itself, a benchmark, the ``bench`` harness, an example or a
-script.  Package ``__init__`` re-exports do not count as callers.
+library itself, a benchmark, the ``bench`` harness or an example.  Package ``__init__`` re-exports do not count as callers.
 """
 
 import ast
@@ -11,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-CALLER_TREES = ("src", "benchmarks", "bench", "examples", "scripts")
+CALLER_TREES = ("src", "benchmarks", "bench", "examples")
 
 
 def _dotted(path: Path) -> str:
