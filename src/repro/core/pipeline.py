@@ -24,7 +24,7 @@ from repro.datagen.environments import EnvironmentType
 from repro.explain.beeswarm import ClusterExplanation, explain_clusters
 from repro.explain.treeshap import TreeExplainer
 from repro.ml.forest import RandomForestClassifier
-from repro.obs import timed_stage
+from repro.obs import span
 from repro.utils.assignment import align_labels
 from repro.utils.checks import check_matrix
 
@@ -117,7 +117,7 @@ class ICNProfile:
         ``pipeline.align`` stage.  :meth:`ICNProfiler.fit` with
         ``align_to`` gives the same profile with a single forest fit.
         """
-        with timed_stage("pipeline.align"):
+        with span("pipeline.align"):
             labels = _aligned_labels(self.labels, reference)
             surrogate = _fit_surrogate(self.features, labels, self.surrogate)
             accuracy = surrogate.score(self.features, labels)
@@ -141,9 +141,9 @@ class ICNProfile:
     ) -> Dict[int, ClusterExplanation]:
         """Per-cluster SHAP summaries (Fig. 5); computed once and cached."""
         if self._explanations is None:
-            with timed_stage("pipeline.shap",
-                             n_clusters=self.n_clusters,
-                             samples_per_cluster=samples_per_cluster):
+            with span("pipeline.shap",
+                      n_clusters=self.n_clusters,
+                      samples_per_cluster=samples_per_cluster):
                 explainer = TreeExplainer(self.surrogate)
                 self._explanations = explain_clusters(
                     explainer,
@@ -323,18 +323,17 @@ class ICNProfiler:
             env_types = None
             paris_mask = None
 
-        with timed_stage("pipeline.rca",
-                         rows=int(totals.shape[0]),
-                         services=int(totals.shape[1])):
+        with span("pipeline.rca",
+                  rows=int(totals.shape[0]),
+                  services=int(totals.shape[1])):
             features = rsca(totals)
-        with timed_stage("pipeline.cluster",
-                         n_clusters=self.n_clusters, linkage=self.linkage):
+        with span("pipeline.cluster",
+                  n_clusters=self.n_clusters, linkage=self.linkage):
             clustering = self._cluster(features, self.n_clusters)
             labels = clustering.labels_
             if align_to is not None:
                 labels = _aligned_labels(labels, align_to)
-        with timed_stage("pipeline.surrogate",
-                         n_estimators=self.surrogate_trees):
+        with span("pipeline.surrogate", n_estimators=self.surrogate_trees):
             surrogate = _fit_surrogate(features, labels, RandomForestClassifier(
                 n_estimators=self.surrogate_trees,
                 max_depth=self.surrogate_max_depth,

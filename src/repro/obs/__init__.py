@@ -7,14 +7,17 @@ zero-dependency layer:
 
 * :class:`MetricsRegistry` — process-wide counter/gauge/histogram
   families with labels, exposed as Prometheus text (the serve
-  endpoint's ``GET /metrics``) or JSON (``repro-icn obs dump``);
-* :func:`span` / :class:`TraceStore` — hierarchical timed spans with a
-  ring-buffer store and Chrome ``trace_event`` export for flamegraphs
+  endpoint's ``GET /metrics``) or JSON (``repro-icn obs dump``); every
+  latency quantile is interpolated from a histogram's buckets
+  (:meth:`Histogram.quantile`);
+* :func:`span` — the one timing primitive: every span observes its
+  wall-clock into ``repro_stage_seconds{stage=<name>}``, and with
+  tracing on it is also recorded into a :class:`TraceStore` ring buffer
+  with Chrome ``trace_event`` export for flamegraphs
   (``repro-icn obs trace-export``);
 * :func:`get_logger` — structured JSON-lines logging carrying the
   active trace/span ids;
-* :func:`timed_stage` / :func:`profile_stage` — stage instrumentation
-  (span + stage-seconds histogram) and on-demand wall/CPU/RSS profiles;
+* :func:`profile_stage` — on-demand wall/CPU/RSS profiles of one span;
 * :class:`SLOEngine` / :class:`AlertManager` — declarative SLOs with
   rolling-window error-budget accounting and multi-window burn-rate
   alerting (the judging layer over the emitted signals);
@@ -79,7 +82,7 @@ from repro.obs.logs import (
     set_log_level,
     set_log_stream,
 )
-from repro.obs.profiling import StageStats, profile_stage, timed_stage
+from repro.obs.profiling import StageStats, profile_stage
 from repro.obs.slo import (
     SLO,
     SLOEngine,
@@ -156,5 +159,4 @@ __all__ = [
     "span",
     "sparkline",
     "tracing_enabled",
-    "timed_stage",
 ]

@@ -1,20 +1,14 @@
-"""Lightweight per-stage profiling hooks: wall/CPU time and peak memory.
+"""On-demand per-stage profiling: wall/CPU time and peak memory.
 
-Two attachment points:
-
-* :func:`timed_stage` — the instrumentation primitive the pipeline,
-  stream, and serve layers wrap their hot stages in.  It opens a tracing
-  span (a no-op when tracing is off) and folds the stage's wall-clock
-  into the shared registry's ``repro_stage_seconds{stage=...}``
-  histogram.  Cheap enough to leave on permanently
-  (``python -m bench run --trace 1`` reports the cost as
-  ``bench.trace_overhead``).
-* :func:`profile_stage` — the heavyweight on-demand profiler: wall
-  seconds, CPU seconds (:func:`time.process_time`), peak RSS
-  (``resource.getrusage``), and optionally peak *traced* allocation via
-  :mod:`tracemalloc`.  Use it from notebooks, the ``obs`` CLI, or a
-  one-off investigation, not from steady-state hot paths (tracemalloc
-  slows allocation-heavy code substantially).
+The permanent instrumentation of the pipeline, stream, and serve layers
+is :class:`repro.obs.trace.span`, which times every stage into
+``repro_stage_seconds{stage=...}``.  :func:`profile_stage` is the
+heavyweight on-demand profiler around one such span: wall seconds, CPU
+seconds (:func:`time.process_time`), peak RSS (``resource.getrusage``),
+and optionally peak *traced* allocation via :mod:`tracemalloc`.  Use it
+from notebooks, the ``obs`` CLI, or a one-off investigation, not from
+steady-state hot paths (tracemalloc slows allocation-heavy code
+substantially).
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import span
 
 try:  # resource is POSIX-only; profile records degrade gracefully without it.
@@ -32,13 +26,7 @@ try:  # resource is POSIX-only; profile records degrade gracefully without it.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-__all__ = ["StageStats", "profile_stage", "timed_stage"]
-
-#: Bucket bounds for the shared per-stage wall-clock histogram: the
-#: pipeline stages span ~1 ms (RCA) to tens of seconds (SHAP at scale).
-STAGE_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
-)
+__all__ = ["StageStats", "profile_stage"]
 
 
 def _peak_rss_bytes() -> Optional[int]:
@@ -93,10 +81,9 @@ def profile_stage(name: str, registry: Optional[MetricsRegistry] = None,
                   trace_memory: bool = False):
     """Profile one stage; yields a :class:`StageStats` filled at exit.
 
-    Opens a span named ``name`` around the body, so profiled stages also
-    appear in exported traces.  When ``registry`` is given (or the
-    default registry otherwise), the wall-clock lands in
-    ``repro_stage_seconds{stage=name}`` like :func:`timed_stage`.
+    Opens a span named ``name`` around the body, so a profiled stage
+    appears in exported traces and its wall-clock lands in
+    ``repro_stage_seconds{stage=name}`` on ``registry``.
 
     Args:
         name: stage name (also the span name and metric label).
@@ -115,9 +102,8 @@ def profile_stage(name: str, registry: Optional[MetricsRegistry] = None,
         tracemalloc.reset_peak()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    stage_span = span(name, profiled=True)
     try:
-        with stage_span:
+        with span(name, registry=registry, profiled=True):
             yield stats
     finally:
         stats.wall_seconds = time.perf_counter() - wall0
@@ -127,59 +113,3 @@ def profile_stage(name: str, registry: Optional[MetricsRegistry] = None,
             _, stats.peak_traced_bytes = tracemalloc.get_traced_memory()
             if started_tracemalloc:
                 tracemalloc.stop()
-        reg = registry if registry is not None else get_registry()
-        record = stage_span.record
-        reg.histogram(
-            "repro_stage_seconds",
-            "Wall-clock seconds per instrumented stage",
-            labelnames=("stage",),
-            buckets=STAGE_BUCKETS,
-        ).labels(stage=name).observe(
-            stats.wall_seconds,
-            exemplar=record.trace_id if record is not None else None,
-        )
-
-
-class timed_stage:
-    """Span + stage-seconds histogram around one hot-path stage.
-
-    The permanent instrumentation wrapper: ``with
-    timed_stage("pipeline.rca", rows=n):`` is what
-    :class:`~repro.core.pipeline.ICNProfiler` and friends use.  Records
-    a span when tracing is on and always folds the wall-clock into
-    ``repro_stage_seconds{stage=...}`` on the default registry (or an
-    explicit one).  Class-based for the same reason as
-    :class:`repro.obs.trace.span`: no generator frame on the hot path.
-    """
-
-    __slots__ = ("_span", "_name", "_registry", "_start")
-
-    def __init__(self, name: str,
-                 registry: Optional[MetricsRegistry] = None,
-                 **attributes) -> None:
-        self._name = name
-        self._registry = registry
-        self._span = span(name, **attributes)
-        self._start = 0.0
-
-    def __enter__(self):
-        record = self._span.__enter__()
-        self._start = time.perf_counter()
-        return record
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self._span.__exit__(exc_type, exc, tb)
-        reg = self._registry if self._registry is not None else get_registry()
-        # When tracing is on, the closed span's trace id rides along as
-        # the histogram exemplar — a slow stage points at its own trace.
-        record = self._span.record
-        reg.histogram(
-            "repro_stage_seconds",
-            "Wall-clock seconds per instrumented stage",
-            labelnames=("stage",),
-            buckets=STAGE_BUCKETS,
-        ).labels(stage=self._name).observe(
-            elapsed, exemplar=record.trace_id if record is not None else None
-        )
-        return False

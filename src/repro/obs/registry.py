@@ -44,6 +44,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "get_registry",
     "set_registry",
 ]
@@ -53,6 +54,15 @@ __all__ = [
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+
+#: The histogram every :class:`~repro.obs.trace.span` observes into.
+STAGE_METRIC = "repro_stage_seconds"
+
+#: Bucket bounds of :data:`STAGE_METRIC`: the pipeline stages span ~1 ms
+#: (RCA) to tens of seconds (SHAP at scale).
+STAGE_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -71,6 +81,36 @@ def _format_value(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+def bucket_quantile(
+    q: float, buckets: Sequence[Tuple[float, float]]
+) -> Optional[float]:
+    """Quantile ``q`` in [0, 1] of ``(upper_bound, cumulative_count)``
+    pairs ending at ``+Inf`` (:meth:`Histogram.cumulative_buckets`).
+
+    Prometheus' ``histogram_quantile``: linear interpolation inside the
+    bucket holding the target rank, the lowest bucket starting at 0 and
+    the ``+Inf`` bucket clamped to the highest finite bound.  None when
+    the buckets hold no observation.
+    """
+    total = buckets[-1][1] if buckets else 0
+    if total <= 0:
+        return None
+    target = q * total
+    previous_bound = 0.0
+    previous_count = 0.0
+    for bound, count in buckets:
+        if count >= target:
+            if math.isinf(bound):
+                return previous_bound
+            if count == previous_count:
+                return bound
+            fraction = (target - previous_count) / (count - previous_count)
+            return previous_bound + fraction * (bound - previous_bound)
+        previous_bound = 0.0 if math.isinf(bound) else bound
+        previous_count = count
+    return previous_bound
 
 
 class _Child:
@@ -263,6 +303,13 @@ class Histogram(_Child):
             cumulative.append((bound, running))
         return cumulative
 
+    def quantile(self, q: float) -> Optional[float]:
+        """Bucket-interpolated quantile ``q`` in [0, 1] (see
+        :func:`bucket_quantile`); None before the first observation."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        return bucket_quantile(q, self.cumulative_buckets())
+
 
 class _Family:
     """A named metric with a fixed type, help string, and label schema."""
@@ -282,6 +329,7 @@ class _Family:
         self.buckets = tuple(buckets) if buckets is not None else None
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], _Child] = {}
+        self._unlabeled: Optional[_Child] = None
 
     def _make_child(self) -> _Child:
         if self.kind == "counter":
@@ -322,12 +370,15 @@ class _Family:
             return child
 
     def _default_child(self):
-        if self.labelnames:
-            raise ValueError(
-                f"metric {self.name!r} is labeled {self.labelnames}; "
-                f"call .labels(...) first"
-            )
-        return self.labels()
+        child = self._unlabeled  # bound once: it never changes
+        if child is None:
+            if self.labelnames:
+                raise ValueError(
+                    f"metric {self.name!r} is labeled {self.labelnames}; "
+                    f"call .labels(...) first"
+                )
+            child = self._unlabeled = self.labels()
+        return child
 
     # Unlabeled convenience: family.inc() / .set() / .observe() delegate
     # to the single implicit child.
@@ -380,6 +431,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        self._stages: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
     # Family constructors (get-or-create)
@@ -432,6 +484,22 @@ class MetricsRegistry:
             )
         return family
 
+    def stage(self, name: str) -> Histogram:
+        """The ``repro_stage_seconds{stage=name}`` child spans observe into,
+        cached until :meth:`reset` or :meth:`unregister` drops its family."""
+        child = self._stages.get(name)
+        if child is None:
+            family = self.histogram(
+                STAGE_METRIC, "Wall-clock seconds per instrumented stage",
+                labelnames=("stage",), buckets=STAGE_BUCKETS,
+            )
+            child = family.labels(name)
+            with self._lock:
+                # A reset that raced the lookup must not be cached over.
+                if self._families.get(STAGE_METRIC) is family:
+                    self._stages[name] = child
+        return child
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -450,11 +518,13 @@ class MetricsRegistry:
         """Drop one family (missing names are ignored)."""
         with self._lock:
             self._families.pop(name, None)
+            self._stages.clear()
 
     def reset(self) -> None:
         """Drop every family (test isolation helper)."""
         with self._lock:
             self._families.clear()
+            self._stages.clear()
 
     # ------------------------------------------------------------------
     # Exposition

@@ -9,14 +9,15 @@ recorded with ``error=true``, and finished spans land in a bounded
 :class:`TraceStore` ring buffer so a long-running server never grows
 its trace memory unboundedly.
 
-Tracing is **off by default** and the disabled fast path is a couple of
-attribute loads, so instrumentation can stay in hot paths permanently
-(``python -m bench run --trace 1`` reports the traced run's cost as
-``bench.trace_overhead``).  Turn it
-on with :func:`enable_tracing`, then export with
-:meth:`TraceStore.export_chrome` — the output is Chrome
-``trace_event`` JSON that loads directly into ``chrome://tracing`` /
-Perfetto for flamegraph viewing.
+A span is also the one timing primitive: traced or not, it observes
+its wall-clock into ``repro_stage_seconds{stage=<name>}``.  Recording
+is **off by default**, and then a span costs two clock reads and one
+histogram observation, so instrumentation stays in hot paths
+(``python -m bench run --trace 1`` reports the cost of recording as
+``bench.trace_overhead``).  Turn it on with :func:`enable_tracing`,
+then export with :meth:`TraceStore.export_chrome` — the output is
+Chrome ``trace_event`` JSON that loads directly into
+``chrome://tracing`` / Perfetto for flamegraph viewing.
 
 Correlation: :func:`current_trace_id` / :func:`current_span_id` expose
 the active ids so structured log lines (:mod:`repro.obs.logs`) and HTTP
@@ -44,6 +45,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Union
+
+from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "DEFAULT_TRACE_CAPACITY",
@@ -496,9 +499,11 @@ def current_span_id() -> Optional[str]:
 class span:
     """Context manager timing one named stage as a hierarchical span.
 
-    ``with span("pipeline.rca", rows=n):`` records a
-    :class:`SpanRecord` into the active store when tracing is enabled
-    (and is a near-free no-op otherwise).  Nesting is automatic: spans
+    ``with span("pipeline.rca", rows=n):`` observes the body's
+    wall-clock into ``repro_stage_seconds{stage=<name>}`` on
+    ``registry`` (the default registry when None), traced or not.  With
+    tracing enabled it also records a :class:`SpanRecord` whose trace
+    id becomes the histogram exemplar.  Nesting is automatic: spans
     opened inside the body become children.  If the body raises, the
     span still closes, gains ``error=true`` plus an ``error_type``
     attribute, and the exception propagates unchanged.
@@ -510,57 +515,66 @@ class span:
     new one.  Spans opened *inside* the body still nest normally.
 
     Implemented as a plain class rather than ``@contextmanager`` so the
-    disabled path costs no generator frame.
+    hot path costs no generator frame.
     """
 
-    __slots__ = ("name", "attributes", "record", "parent")
+    __slots__ = ("name", "attributes", "record", "parent", "registry",
+                 "_start")
 
     def __init__(self, name: str, parent: Optional[TraceContext] = None,
+                 registry: Optional[MetricsRegistry] = None,
                  **attributes) -> None:
         self.name = name
         self.attributes = attributes
         self.parent = parent
+        self.registry = registry
         self.record: Optional[SpanRecord] = None
+        self._start = 0.0
 
     def __enter__(self) -> Optional[SpanRecord]:
-        if not _state.enabled:
-            return None
-        stack = _stack()
-        if self.parent is not None:
-            trace_id = self.parent.trace_id
-            parent_id: Optional[str] = self.parent.span_id
-        else:
-            parent = stack[-1] if stack else None
-            trace_id = parent.trace_id if parent else _new_id()
-            parent_id = parent.span_id if parent else None
-        record = SpanRecord(
-            name=self.name,
-            trace_id=trace_id,
-            span_id=_new_id(),
-            parent_id=parent_id,
-            thread_id=threading.get_ident(),
-            start_s=_state.store.now(),
-            attributes=dict(self.attributes),
-        )
-        stack.append(record)
-        self.record = record
-        return record
+        if _state.enabled:
+            stack = _stack()
+            if self.parent is not None:
+                trace_id = self.parent.trace_id
+                parent_id: Optional[str] = self.parent.span_id
+            else:
+                parent = stack[-1] if stack else None
+                trace_id = parent.trace_id if parent else _new_id()
+                parent_id = parent.span_id if parent else None
+            record = SpanRecord(
+                name=self.name,
+                trace_id=trace_id,
+                span_id=_new_id(),
+                parent_id=parent_id,
+                thread_id=threading.get_ident(),
+                start_s=_state.store.now(),
+                attributes=dict(self.attributes),
+            )
+            stack.append(record)
+            self.record = record
+        self._start = time.perf_counter()
+        return self.record
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._start
         record = self.record
-        if record is None:
-            return False
-        stack = _stack()
-        # The record may not be stack-top if the body leaked spans across
-        # threads; remove defensively rather than corrupting siblings.
-        if stack and stack[-1] is record:
-            stack.pop()
-        elif record in stack:
-            stack.remove(record)
-        record.duration_s = _state.store.now() - record.start_s
-        if exc_type is not None:
-            record.error = True
-            record.attributes["error"] = True
-            record.attributes["error_type"] = exc_type.__name__
-        _state.store.add(record)
+        trace_id = None
+        if record is not None:
+            trace_id = record.trace_id
+            stack = _stack()
+            # The record may not be stack-top if the body leaked spans
+            # across threads; remove defensively rather than corrupting
+            # siblings.
+            if stack and stack[-1] is record:
+                stack.pop()
+            elif record in stack:
+                stack.remove(record)
+            record.duration_s = elapsed
+            if exc_type is not None:
+                record.error = True
+                record.attributes["error"] = True
+                record.attributes["error_type"] = exc_type.__name__
+            _state.store.add(record)
+        registry = self.registry if self.registry is not None else get_registry()
+        registry.stage(self.name).observe(elapsed, exemplar=trace_id)
         return False

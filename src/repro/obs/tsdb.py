@@ -48,6 +48,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     _format_value,
+    bucket_quantile,
     get_registry,
 )
 
@@ -387,10 +388,11 @@ class MetricsTSDB:
         """Quantile of a histogram family's *windowed* distribution.
 
         Computes the per-bucket count increase over the trailing window
-        (summed across matching label sets), then applies the standard
-        Prometheus linear interpolation inside the target bucket.  None
-        when the family recorded no bucket series or saw no
-        observations inside the window.
+        (summed across matching label sets), then interpolates inside
+        the target bucket like Prometheus (:func:`bucket_quantile`, the
+        same estimate as :meth:`Histogram.quantile`).  None when the
+        family recorded no bucket series or saw no observations inside
+        the window.
         """
         if not 0.0 <= q <= 1.0:
             raise QueryError(f"quantile must be in [0, 1], got {q}")
@@ -403,29 +405,7 @@ class MetricsTSDB:
             by_bound[bound] = by_bound.get(bound, 0.0) + max(
                 0.0, ring.delta(range_s, now=now)
             )
-        if not by_bound:
-            return None
-        bounds = sorted(by_bound)
-        cumulative = [by_bound[b] for b in bounds]
-        total = cumulative[-1]
-        if total <= 0:
-            return None
-        target = q * total
-        previous_bound = 0.0
-        previous_count = 0.0
-        for bound, count in zip(bounds, cumulative):
-            if count >= target:
-                if math.isinf(bound):
-                    return previous_bound
-                if count == previous_count:
-                    return bound
-                fraction = (target - previous_count) / (
-                    count - previous_count
-                )
-                return previous_bound + fraction * (bound - previous_bound)
-            previous_bound = 0.0 if math.isinf(bound) else bound
-            previous_count = count
-        return bounds[-2] if len(bounds) > 1 else bounds[-1]
+        return bucket_quantile(q, sorted(by_bound.items()))
 
     def latest(self, name: str,
                labels: Optional[Dict[str, str]] = None) -> Optional[float]:

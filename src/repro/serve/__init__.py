@@ -29,9 +29,9 @@ Quickstart::
         print(service.metrics_snapshot()["derived"])
 """
 
-from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_key
+from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_keys
 from repro.serve.client import HttpServeClient, ServeClient
-from repro.serve.metrics import LatencyReservoir, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ProfileRegistry
 from repro.serve.scheduler import MicroBatcher, ShedRequest
 from repro.serve.service import (
@@ -46,7 +46,6 @@ __all__ = [
     "ClassifyResult",
     "DEFAULT_DECIMALS",
     "HttpServeClient",
-    "LatencyReservoir",
     "MicroBatcher",
     "PendingClassify",
     "ProfileRegistry",
@@ -58,5 +57,5 @@ __all__ = [
     "ServeMetrics",
     "ShedRequest",
     "make_server",
-    "quantize_key",
+    "quantize_keys",
 ]

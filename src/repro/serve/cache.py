@@ -3,7 +3,7 @@
 Operators poll the same antennas on a cadence, so identical (or
 float-noise-identical) RSCA vectors recur within minutes; caching the
 vote per vector removes those from the classification path entirely.
-Keys are built by :func:`quantize_key` — the vector rounded to a fixed
+Keys are built by :func:`quantize_keys` — each row rounded to a fixed
 number of decimals and serialized to bytes — so two requests that differ
 only below the quantization step share an entry.  Entries are evicted by
 least-recent-use when the cache is full and by TTL when results must not
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,15 +28,16 @@ import numpy as np
 DEFAULT_DECIMALS = 6
 
 
-def quantize_key(vector: np.ndarray, decimals: int = DEFAULT_DECIMALS) -> bytes:
-    """Stable bytes key of one feature vector, rounded to ``decimals``.
+def quantize_keys(features: np.ndarray,
+                  decimals: int = DEFAULT_DECIMALS) -> List[bytes]:
+    """Stable bytes key of each row of a 2-D matrix, rounded to ``decimals``.
 
-    Rounding collapses float jitter; adding ``0.0`` normalizes ``-0.0``
-    so the two zero encodings share a key.
+    One vectorized round per request, then one ``tobytes`` per row of
+    the (C-contiguous) result.  Rounding collapses float jitter; adding
+    ``0.0`` normalizes ``-0.0`` so the two zero encodings share a key.
     """
-    row = np.asarray(vector, dtype=float).ravel()
-    quantized = np.round(row, int(decimals)) + 0.0
-    return quantized.tobytes()
+    quantized = np.round(np.asarray(features, dtype=float), int(decimals)) + 0.0
+    return [row.tobytes() for row in quantized]
 
 
 class ResultCache:

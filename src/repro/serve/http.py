@@ -174,7 +174,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         # any W3C-instrumented client will) parents this request's span
         # tree onto its own trace instead of rooting a fresh one.
         parent = extract(dict(self.headers.items()))
-        with span("serve.http", parent=parent, method=self.command,
+        with span("serve.http", parent=parent,
+                  registry=self.service.metrics.registry, method=self.command,
                   path=self.path, request_id=request_id) as record:
             try:
                 route()

@@ -1,45 +1,41 @@
-"""Serving-side counters, latency reservoir, and batch-size histogram.
+"""Serving-side counters and request-lifecycle histograms.
 
 :class:`ServeMetrics` is the serving counterpart of
 :class:`repro.stream.metrics.StreamMetrics`: where the stream metrics
 describe an ingestion node, these describe a query-serving node — request
-and query counts, executed micro-batches with their size distribution,
-cache hits/misses, shed (load-rejected) requests, and a bounded
-reservoir of per-request latencies from which p50/p95/p99 are derived.
-Both classes export the same ``to_dict()`` JSON shape (``counters`` /
-``derived`` sections) so one dashboard can scrape either node type.
+and query counts, executed micro-batches, cache hits/misses, shed
+(load-rejected) requests, and histograms of request latency, queue wait,
+batch assembly and rows per batch.  Both classes export the same
+``to_dict()`` JSON shape (``counters`` / ``derived`` sections) so one
+dashboard can scrape either node type.
 
-Since the observability layer landed, both classes are thin facades over
-a :class:`repro.obs.MetricsRegistry`: every counter is a registry
-counter family (``repro_serve_<name>_total``), latencies and the new
-request-lifecycle timings (queue wait, batch assembly) additionally feed
-registry histograms, and :meth:`ServeMetrics.prometheus_text` renders
-the whole node state in the Prometheus text format for the serve
-endpoint's ``GET /metrics``.  Each instance owns a private registry by
-default so independent services stay independent; pass a shared
-registry explicitly to merge several components onto one exposition
-surface.
+The class is a thin facade over a :class:`repro.obs.MetricsRegistry`:
+every counter is a registry counter family (``repro_serve_<name>_total``)
+held as its bound child, and :meth:`ServeMetrics.prometheus_text`
+renders the whole node state in the Prometheus text format for the
+serve endpoint's ``GET /metrics``.  The p50/p95/p99 latencies (the
+``repro_serve_latency_ms{quantile=...}`` gauges and ``to_dict()``'s
+``derived`` section) and the mean batch size are read from the
+histograms; quantiles are interpolated inside the request-latency
+buckets (:meth:`repro.obs.Histogram.quantile`), so they are estimates
+at bucket resolution, the same ones the TSDB's ``quantile()`` gives.
+Each instance owns a private registry by default so independent
+services stay independent; pass a shared registry explicitly to merge
+several components onto one exposition surface.
 
 All mutators are thread-safe: the serving layer updates metrics from
 worker threads, HTTP handler threads, and client threads concurrently.
-Audit note: quantile reads (:meth:`LatencyReservoir.quantiles_ms`) now
-sort **one** locked snapshot of the reservoir instead of re-locking per
-percentile, so the reported p50/p95/p99 trio is always internally
-consistent even while worker threads keep swapping reservoir slots.
 """
 
 from __future__ import annotations
 
-import random
+import math
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, _format_value, bucket_quantile
 from repro.obs.trace import current_trace_id
-
-#: Default number of latency samples the reservoir retains.
-DEFAULT_RESERVOIR_SIZE = 2048
 
 #: Bucket bounds of the exposition latency histograms (seconds).
 LATENCY_BUCKETS = (
@@ -49,94 +45,15 @@ LATENCY_BUCKETS = (
 #: Bucket bounds of the rows-per-batch exposition histogram.
 BATCH_ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-
-class LatencyReservoir:
-    """Fixed-size uniform reservoir of latency samples (seconds).
-
-    Keeps at most ``capacity`` samples via Vitter's algorithm R, so the
-    retained set is a uniform sample of everything observed; quantiles
-    over the reservoir estimate quantiles of the full latency stream
-    without unbounded memory.  The replacement RNG is seeded, so a
-    replayed request sequence yields the same reservoir.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_RESERVOIR_SIZE,
-                 seed: int = 0xA5) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._samples: List[float] = []
-        self._seen = 0
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        """Fold one latency sample into the reservoir.
-
-        The seen-count bump, slot draw, and slot swap happen under one
-        lock acquisition — concurrent observers can never double-assign
-        a slot or skew the replacement probability.
-        """
-        value = float(seconds)
-        with self._lock:
-            self._seen += 1
-            if len(self._samples) < self.capacity:
-                self._samples.append(value)
-            else:
-                slot = self._rng.randrange(self._seen)
-                if slot < self.capacity:
-                    self._samples[slot] = value
-
-    @property
-    def n_seen(self) -> int:
-        """Total samples observed (retained or not)."""
-        with self._lock:
-            return self._seen
-
-    def snapshot(self) -> List[float]:
-        """Sorted copy of the retained samples (one lock acquisition)."""
-        with self._lock:
-            return sorted(self._samples)
-
-    @staticmethod
-    def _percentile_of(samples: Sequence[float], q: float) -> float:
-        if not samples:
-            return 0.0
-        if len(samples) == 1:
-            return samples[0]
-        rank = (q / 100.0) * (len(samples) - 1)
-        low = int(rank)
-        high = min(low + 1, len(samples) - 1)
-        frac = rank - low
-        return samples[low] * (1.0 - frac) + samples[high] * frac
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` in [0, 100] (0.0 if empty)."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return self._percentile_of(self.snapshot(), q)
-
-    def quantiles_ms(self) -> Dict[str, float]:
-        """The dashboard trio — p50/p95/p99 in milliseconds.
-
-        All three quantiles come from a single locked snapshot, so the
-        trio is internally consistent under concurrent observers (the
-        old per-percentile locking could interleave reservoir swaps
-        between the p50 and p99 reads).
-        """
-        samples = self.snapshot()
-        return {
-            "p50_ms": self._percentile_of(samples, 50.0) * 1e3,
-            "p95_ms": self._percentile_of(samples, 95.0) * 1e3,
-            "p99_ms": self._percentile_of(samples, 99.0) * 1e3,
-        }
+#: The reported latency quantiles by gauge label (``to_dict()`` appends
+#: ``_ms``).
+QUANTILES = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
 
 
 class ServeMetrics:
-    """Counters, latency reservoir, and batch histogram for one server.
+    """Counters and latency/batch histograms for one server.
 
     Args:
-        reservoir_size: latency reservoir capacity.
         registry: back the metrics onto this
             :class:`~repro.obs.MetricsRegistry` (a fresh private one by
             default).  Sharing a registry between components merges them
@@ -155,39 +72,36 @@ class ServeMetrics:
         "reloads",
     )
 
-    def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._counters = {
             name: self.registry.counter(
                 f"repro_serve_{name}_total",
                 f"Serving counter: {name.replace('_', ' ')}",
-            )
+            ).labels()
             for name in self.COUNTERS
         }
-        self._batch_sizes: Dict[int, int] = {}
         self._lock = threading.Lock()
-        self.latency = LatencyReservoir(reservoir_size)
         self._latency_hist = self.registry.histogram(
             "repro_serve_request_latency_seconds",
             "End-to-end request latency",
             buckets=LATENCY_BUCKETS,
-        )
+        ).labels()
         self._queue_wait_hist = self.registry.histogram(
             "repro_serve_queue_wait_seconds",
             "Time requests spent queued before batch execution",
             buckets=LATENCY_BUCKETS,
-        )
+        ).labels()
         self._assembly_hist = self.registry.histogram(
             "repro_serve_batch_assembly_seconds",
             "Queue drain spent assembling each micro-batch",
             buckets=LATENCY_BUCKETS,
-        )
+        ).labels()
         self._batch_rows_hist = self.registry.histogram(
             "repro_serve_batch_rows",
             "Stacked rows per executed micro-batch",
             buckets=BATCH_ROW_BUCKETS,
-        )
+        ).labels()
         self._first_request: Optional[float] = None
         self._last_request: Optional[float] = None
         # Scrape-time gauges: evaluated at exposition, never stored.
@@ -200,27 +114,22 @@ class ServeMetrics:
         ).set_function(lambda: self.cache_hit_rate() or 0.0)
         quantile_gauge = self.registry.gauge(
             "repro_serve_latency_ms",
-            "Reservoir latency quantiles in milliseconds",
+            "Request latency quantiles in milliseconds, interpolated "
+            "inside the repro_serve_request_latency_seconds buckets",
             labelnames=("quantile",),
         )
-        for q in (50.0, 95.0, 99.0):
-            quantile_gauge.labels(quantile=f"p{q:.0f}").set_function(
-                lambda q=q: self.latency.percentile(q) * 1e3
+        for label, q in QUANTILES.items():
+            quantile_gauge.labels(quantile=label).set_function(
+                lambda q=q: (self._latency_hist.quantile(q) or 0.0) * 1e3
             )
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Increment one counter."""
-        counter = self._counters.get(name)
-        if counter is None:
-            raise KeyError(f"unknown counter {name!r}")
-        counter.inc(int(amount))
+        """Increment one counter (KeyError for an unknown name)."""
+        self._counters[name].inc(amount)
 
     def count(self, name: str) -> int:
-        """Current value of one counter."""
-        counter = self._counters.get(name)
-        if counter is None:
-            raise KeyError(f"unknown counter {name!r}")
-        return int(counter.value)
+        """Current value of one counter (KeyError for an unknown name)."""
+        return int(self._counters[name].value)
 
     def observe_request(self, latency_seconds: float,
                         n_vectors: int = 1) -> None:
@@ -232,7 +141,6 @@ class ServeMetrics:
             if self._first_request is None:
                 self._first_request = now
             self._last_request = now
-        self.latency.observe(latency_seconds)
         # With tracing on, the active trace id rides along as the
         # histogram exemplar, so a latency-SLO violation names the
         # exact trace to replay.  One thread-local read per request.
@@ -242,11 +150,8 @@ class ServeMetrics:
 
     def observe_batch(self, n_rows: int) -> None:
         """Record one executed micro-batch of ``n_rows`` stacked vectors."""
-        rows = int(n_rows)
         self._counters["batches_executed"].inc()
-        self._batch_rows_hist.observe(rows)
-        with self._lock:
-            self._batch_sizes[rows] = self._batch_sizes.get(rows, 0) + 1
+        self._batch_rows_hist.observe(n_rows)
 
     def observe_queue_wait(self, seconds: float) -> None:
         """Record one request's queue wait (submit -> batch execution)."""
@@ -276,17 +181,32 @@ class ServeMetrics:
         total = hits + misses
         return hits / total if total else None
 
-    def batch_size_histogram(self) -> Dict[int, int]:
-        """Rows-per-batch -> batch count."""
-        with self._lock:
-            return dict(self._batch_sizes)
+    def batch_size_histogram(self) -> Dict[float, int]:
+        """Rows-per-batch bucket upper bound -> batch count (non-empty only).
+
+        Read from ``repro_serve_batch_rows``, whose bounds are powers of
+        two: a batch of 3 rows counts under 4.
+        """
+        counts, _, _ = self._batch_rows_hist.snapshot()
+        bounds = self._batch_rows_hist.buckets + (math.inf,)
+        return {bound: n for bound, n in zip(bounds, counts) if n}
 
     def mean_batch_size(self) -> float:
         """Average rows per executed micro-batch (0.0 before any batch)."""
-        batches = self.count("batches_executed")
-        with self._lock:
-            total = sum(size * n for size, n in self._batch_sizes.items())
-        return total / batches if batches else 0.0
+        _, rows, batches = self._batch_rows_hist.snapshot()
+        return rows / batches if batches else 0.0
+
+    def latency_quantiles_ms(self) -> Dict[str, float]:
+        """p50/p95/p99 request latency in ms from one histogram snapshot.
+
+        Interpolated inside the request-latency buckets; 0.0 before the
+        first request.
+        """
+        buckets = self._latency_hist.cumulative_buckets()
+        return {
+            f"{label}_ms": (bucket_quantile(q, buckets) or 0.0) * 1e3
+            for label, q in QUANTILES.items()
+        }
 
     # ------------------------------------------------------------------
     # Reporting
@@ -295,7 +215,7 @@ class ServeMetrics:
     def summary(self) -> str:
         """Human-readable metrics block."""
         hit_rate = self.cache_hit_rate()
-        quantiles = self.latency.quantiles_ms()
+        quantiles = self.latency_quantiles_ms()
         lines = [
             f"requests served:   {self.count('requests')} "
             f"({self.qps():,.0f} qps)",
@@ -316,15 +236,17 @@ class ServeMetrics:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (same shape as StreamMetrics)."""
         counters = {name: self.count(name) for name in self.COUNTERS}
-        with self._lock:
-            histogram = {str(k): v for k, v in sorted(self._batch_sizes.items())}
+        histogram = {
+            _format_value(bound): n
+            for bound, n in self.batch_size_histogram().items()
+        }
         hit_rate = self.cache_hit_rate()
         derived: Dict[str, object] = {
             "qps": self.qps(),
             "mean_batch_size": self.mean_batch_size(),
             "cache_hit_rate": hit_rate,
         }
-        derived.update(self.latency.quantiles_ms())
+        derived.update(self.latency_quantiles_ms())
         return {
             "counters": counters,
             "batch_size_histogram": histogram,

@@ -29,10 +29,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs import get_logger, span, timed_stage
+from repro.obs import get_logger, span
 from repro.relia.degrade import ServeDegradePolicy
 from repro.relia.retry import CircuitBreaker
-from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_key
+from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_keys
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ProfileRegistry
 from repro.serve.scheduler import MicroBatcher, ShedRequest
@@ -327,10 +327,7 @@ class ProfileService:
                     f"vectors have {features.shape[1]} columns, profile "
                     f"serves {profile.centroids.shape[1]} services"
                 )
-        keys = [
-            quantize_key(features[row], self.cache_decimals)
-            for row in range(features.shape[0])
-        ]
+        keys = quantize_keys(features, self.cache_decimals)
         cached_labels: Dict[int, int] = {}
         missing: List[int] = []
         for row, key in enumerate(keys):
@@ -385,8 +382,8 @@ class ProfileService:
         transformed rows *are* RSCA vectors).
         """
         with self.registry.acquire() as (_version, profile):
-            with timed_stage("serve.rsca_transform",
-                             registry=self.metrics.registry):
+            with span("serve.rsca_transform",
+                      registry=self.metrics.registry):
                 features = profile.kernel().rsca_of_volumes(volumes)
         return self.submit(features)
 
@@ -405,12 +402,11 @@ class ProfileService:
 
     def _classify_batch(self, features: np.ndarray):
         """Vote one stacked batch through the kernel under one pinned version."""
-        with timed_stage("serve.vote", registry=self.metrics.registry,
-                         rows=int(features.shape[0])):
+        registry = self.metrics.registry
+        rows = int(features.shape[0])
+        with span("serve.vote", registry=registry, rows=rows):
             with self.registry.acquire() as (version, profile):
-                with timed_stage("serve.kernel_vote",
-                                 registry=self.metrics.registry,
-                                 rows=int(features.shape[0])):
+                with span("serve.kernel_vote", registry=registry, rows=rows):
                     return profile.kernel().vote(features), version
 
     def _store(self, version: int, key: bytes, label: int) -> None:
@@ -418,7 +414,8 @@ class ProfileService:
 
     def _degrade_labels(self, features: np.ndarray):
         """Nearest-centroid labels under a single pinned version."""
-        with span("serve.degraded_vote", rows=int(features.shape[0])):
+        with span("serve.degraded_vote", registry=self.metrics.registry,
+                  rows=int(features.shape[0])):
             with self.registry.acquire() as (version, profile):
                 return profile.nearest_centroids(features), version
 

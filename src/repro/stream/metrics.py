@@ -8,13 +8,15 @@ mean per-batch classification latency.  Counters checkpoint alongside
 the accumulators; timers restart at zero on restore (wall-clock is a
 property of the process, not the stream).
 
-Since the observability layer landed, the class is a facade over a
-:class:`repro.obs.MetricsRegistry`: counters become
-``repro_stream_<name>_total`` families and timers become
-``repro_stream_<name>_total`` second-counters, so an ingestion node
-exposes the same Prometheus text surface as a serving node
-(:meth:`StreamMetrics.prometheus_text`).  All mutations are thread-safe
-under the registry's per-family locks — an ingestion node may share its
+The class is a facade over a :class:`repro.obs.MetricsRegistry`:
+counters are ``repro_stream_<name>_total`` families held as bound
+children, and the timers are read from the ``stream.ingest``,
+``stream.classify`` and ``stream.drift`` spans that
+:class:`~repro.stream.profiler.StreamingProfiler` opens on this
+registry (the sums of ``repro_stage_seconds{stage=...}``), so an
+ingestion node exposes the same Prometheus text surface as a serving
+node (:meth:`StreamMetrics.prometheus_text`).  All mutations are
+thread-safe under the registry's per-family locks — an ingestion node may share its
 metrics object between a reader thread and a checkpointing thread.
 Each instance owns a private registry by default; pass a shared one to
 merge components onto a single exposition surface.
@@ -23,7 +25,6 @@ merge components onto a single exposition surface.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.obs.registry import MetricsRegistry
@@ -47,8 +48,13 @@ class StreamMetrics:
         "drift_checks",
         "checkpoints_written",
     )
-    #: Timer names, in reporting order.
-    TIMERS = ("ingest_seconds", "classify_seconds", "drift_seconds")
+    #: Timer name -> the span whose stage-seconds sum it reads, in
+    #: reporting order.
+    TIMERS = {
+        "ingest_seconds": "stream.ingest",
+        "classify_seconds": "stream.classify",
+        "drift_seconds": "stream.drift",
+    }
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -56,15 +62,8 @@ class StreamMetrics:
             name: self.registry.counter(
                 f"repro_stream_{name}_total",
                 f"Ingestion counter: {name.replace('_', ' ')}",
-            )
+            ).labels()
             for name in self.COUNTERS
-        }
-        self._timers = {
-            name: self.registry.counter(
-                f"repro_stream_{name}_total",
-                f"Accumulated wall-clock: {name.replace('_', ' ')}",
-            )
-            for name in self.TIMERS
         }
         self.registry.gauge(
             "repro_stream_rows_per_second",
@@ -72,37 +71,16 @@ class StreamMetrics:
         ).set_function(self.rows_per_second)
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Increment one counter."""
-        counter = self._counters.get(name)
-        if counter is None:
-            raise KeyError(f"unknown counter {name!r}")
-        counter.inc(int(amount))
+        """Increment one counter (KeyError for an unknown name)."""
+        self._counters[name].inc(amount)
 
     def count(self, name: str) -> int:
-        """Current value of one counter."""
-        counter = self._counters.get(name)
-        if counter is None:
-            raise KeyError(f"unknown counter {name!r}")
-        return int(counter.value)
+        """Current value of one counter (KeyError for an unknown name)."""
+        return int(self._counters[name].value)
 
     def seconds(self, name: str) -> float:
-        """Accumulated wall-clock of one timer."""
-        timer = self._timers.get(name)
-        if timer is None:
-            raise KeyError(f"unknown timer {name!r}")
-        return timer.value
-
-    @contextmanager
-    def timer(self, name: str):
-        """Context manager adding the enclosed wall-clock to a timer."""
-        timer = self._timers.get(name)
-        if timer is None:
-            raise KeyError(f"unknown timer {name!r}")
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            timer.inc(time.perf_counter() - start)
+        """Accumulated wall-clock of one timer: its span's stage seconds."""
+        return self.registry.stage(self.TIMERS[name]).sum
 
     # ------------------------------------------------------------------
     # Derived rates

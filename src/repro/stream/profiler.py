@@ -163,10 +163,10 @@ class StreamingProfiler:
         # before any accumulator mutation so a retried ingest is safe.
         fault_point("stream.ingest", hour=str(batch.hour))
         with span("stream.ingest", parent=self.trace_parent,
+                  registry=self.metrics.registry,
                   hour=str(batch.hour), n_rows=int(batch.n_rows)):
-            with self.metrics.timer("ingest_seconds"):
-                new_ids = self.totals.update(batch)
-                self.window.update(batch)
+            new_ids = self.totals.update(batch)
+            self.window.update(batch)
         self.metrics.incr("batches_ingested")
         self.metrics.incr("rows_ingested", batch.n_rows)
         self.metrics.incr("antennas_discovered", len(new_ids))
@@ -177,10 +177,10 @@ class StreamingProfiler:
         classified: Optional[_Classified] = None
         occupancy: Optional[Dict[int, int]] = None
         if self.classify_every and count % self.classify_every == 0:
-            with span("stream.classify", hour=str(batch.hour)):
-                with self.metrics.timer("classify_seconds"):
-                    classified = self._classify()
-                    occupancy = self._occupancy_of(classified[2])
+            with span("stream.classify", registry=self.metrics.registry,
+                      hour=str(batch.hour)):
+                classified = self._classify()
+                occupancy = self._occupancy_of(classified[2])
             self.metrics.incr("classify_calls")
 
         drift: Optional[DriftSignal] = None
@@ -243,7 +243,7 @@ class StreamingProfiler:
     def _check_drift(
         self, hour: Optional[np.datetime64], classified: Optional[_Classified]
     ) -> DriftSignal:
-        with span("stream.drift"), self.metrics.timer("drift_seconds"):
+        with span("stream.drift", registry=self.metrics.registry):
             ids, features, labels = classified or self._classify()
             order = np.argsort(self.frozen.antenna_ids, kind="stable")
             joined = sorted_lookup(self.frozen.antenna_ids[order], order, ids)

@@ -1,9 +1,9 @@
-"""Tests for the per-stage profiling hooks and timed_stage wrapper."""
+"""Tests for stage timing through spans and the profile_stage hook."""
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, profile_stage, timed_stage
+from repro.obs import MetricsRegistry, get_registry, profile_stage, span
 from repro.obs.trace import disable_tracing, enable_tracing
 
 
@@ -71,9 +71,11 @@ class TestProfileStage:
 
 
 class TestTimedStage:
+    """Every span times its stage into ``repro_stage_seconds``."""
+
     def test_records_histogram_and_span(self, traced):
         registry = MetricsRegistry()
-        with timed_stage("stage.x", registry=registry, rows=5):
+        with span("stage.x", registry=registry, rows=5):
             pass
         assert registry.get("repro_stage_seconds").labels(
             stage="stage.x").count == 1
@@ -83,15 +85,21 @@ class TestTimedStage:
 
     def test_works_with_tracing_disabled(self):
         registry = MetricsRegistry()
-        with timed_stage("quiet", registry=registry):
+        with span("quiet", registry=registry):
             pass
         assert registry.get("repro_stage_seconds").labels(
             stage="quiet").count == 1
 
+    def test_default_registry_when_none_given(self):
+        before = get_registry().stage("default.target").count
+        with span("default.target"):
+            pass
+        assert get_registry().stage("default.target").count == before + 1
+
     def test_exception_propagates_and_still_observes(self, traced):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            with timed_stage("bad", registry=registry):
+            with span("bad", registry=registry):
                 raise ValueError("x")
         assert registry.get("repro_stage_seconds").labels(
             stage="bad").count == 1
@@ -109,7 +117,7 @@ class TestTimedStage:
         manager = AlertManager(engine, default_rules(engine),
                                registry=registry, clock=lambda: clock["t"])
         for _ in range(3):
-            with timed_stage("serve.vote", registry=registry, rows=4):
+            with span("serve.vote", registry=registry, rows=4):
                 pass
             clock["t"] += 1.0
             engine.tick()

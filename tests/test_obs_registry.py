@@ -1,6 +1,7 @@
 """Tests for the metrics registry: primitives, labels, exposition."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -117,6 +118,31 @@ class TestHistogram:
         registry.histogram("h", buckets=(1.0,))
         with pytest.raises(ValueError, match="buckets"):
             registry.histogram("h", buckets=(2.0,))
+
+
+class TestHistogramQuantile:
+    def test_percentiles_interpolate_inside_buckets(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram(
+            "h", buckets=(0.010, 0.020, 0.030, 0.040, 0.050)).labels()
+        for value in (0.010, 0.020, 0.030, 0.040, 0.050):
+            hist.observe(value)
+        assert hist.quantile(0.2) == pytest.approx(0.010)
+        assert hist.quantile(0.5) == pytest.approx(0.025)
+        assert hist.quantile(1.0) == pytest.approx(0.050)
+
+    def test_empty_histogram_has_no_quantile(self):
+        assert MetricsRegistry().histogram("h").labels().quantile(
+            0.95) is None
+
+    def test_overflow_bucket_clamps_to_highest_bound(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0)).labels()
+        hist.observe(50.0)
+        assert hist.quantile(0.99) == 2.0
+
+    def test_quantile_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="quantile"):
+            MetricsRegistry().histogram("h").labels().quantile(1.5)
 
 
 class TestPrometheusText:
@@ -271,6 +297,27 @@ class TestRegistryLifecycle:
         registry.reset()
         assert registry.families() == []
 
+    def test_stage_child_cached_until_reset_or_unregister(self):
+        registry = MetricsRegistry()
+        child = registry.stage("s")
+        assert registry.stage("s") is child
+        registry.reset()
+        fresh = registry.stage("s")
+        assert fresh is not child
+        registry.unregister("repro_stage_seconds")
+        assert registry.stage("s") is not fresh
+        registry.stage("s").observe(0.1)
+        assert registry.get("repro_stage_seconds").labels(
+            stage="s").count == 1
+
+    def test_unlabeled_shortcut_binds_one_child(self):
+        registry = MetricsRegistry()
+        family = registry.counter("c_total")
+        family.inc()
+        family.labels().inc()
+        assert family.value == 2
+        assert len(family.series()) == 1
+
     def test_default_registry_swap(self):
         fresh = MetricsRegistry()
         previous = set_registry(fresh)
@@ -287,15 +334,27 @@ class TestThreadSafety:
         hist = registry.histogram("h", buckets=(0.5,))
         n_threads, n_iter = 8, 2000
 
-        def worker():
-            for _ in range(n_iter):
+        def worker(index):
+            for step in range(n_iter):
                 counter.inc()
                 hist.observe(0.1)
+                # First use of each stage races across threads.
+                registry.stage(f"s{step % 50}").observe(0.1)
 
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
         assert counter.value == n_threads * n_iter
         assert hist.count == n_threads * n_iter
+        stages = registry.get("repro_stage_seconds")
+        assert sum(child.count for _, child in stages.series()) == (
+            n_threads * n_iter)

@@ -3,30 +3,46 @@
 import numpy as np
 import pytest
 
-from repro.serve.cache import ResultCache, quantize_key
+from repro.serve.cache import ResultCache, quantize_keys
+
+
+def _per_row_key(row, decimals=6):
+    """Key of one row rounded on its own: the reference for the matrix form."""
+    return (np.round(np.asarray(row, dtype=float).ravel(), decimals)
+            + 0.0).tobytes()
 
 
 class TestQuantizeKey:
     def test_identical_vectors_share_key(self):
         vector = np.array([0.1, -0.5, 0.9])
-        assert quantize_key(vector) == quantize_key(vector.copy())
+        first, second = quantize_keys(np.stack([vector, vector.copy()]))
+        assert first == second
 
     def test_sub_quantum_jitter_collapses(self):
         base = np.array([0.123456, -0.654321])
-        jittered = base + 1e-9
-        assert quantize_key(base, decimals=6) == quantize_key(
-            jittered, decimals=6
-        )
+        keys = quantize_keys(np.stack([base, base + 1e-9]), decimals=6)
+        assert keys[0] == keys[1]
 
     def test_meaningful_difference_separates(self):
-        assert quantize_key(np.array([0.1, 0.2])) != quantize_key(
-            np.array([0.1, 0.3])
-        )
+        keys = quantize_keys(np.array([[0.1, 0.2], [0.1, 0.3]]))
+        assert keys[0] != keys[1]
 
     def test_negative_zero_normalized(self):
-        assert quantize_key(np.array([0.0])) == quantize_key(np.array([-0.0]))
-        tiny = np.array([-1e-12])  # rounds to -0.0 before normalization
-        assert quantize_key(tiny) == quantize_key(np.array([0.0]))
+        # -1e-12 rounds to -0.0 before normalization.
+        zero, negative, tiny = quantize_keys(np.array([[0.0], [-0.0],
+                                                       [-1e-12]]))
+        assert zero == negative == tiny
+
+    def test_matches_per_row_keys_on_noncontiguous_slices(self):
+        rng = np.random.default_rng(0)
+        features = np.asfortranarray(rng.normal(size=(12, 7)))
+        features[3, 2] = -0.0
+        features[5, 1] = -1e-9
+        missing = [0, 3, 5, 11]
+        for matrix in (features[missing], features[::2, ::3]):
+            assert quantize_keys(matrix) == [
+                _per_row_key(row) for row in matrix
+            ]
 
 
 class TestResultCache:

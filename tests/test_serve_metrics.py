@@ -1,48 +1,10 @@
-"""Tests for the serving-side metrics: reservoir, counters, export."""
+"""Tests for the serving-side metrics: counters, histograms, export."""
 
 import json
 
 import pytest
 
-from repro.serve.metrics import LatencyReservoir, ServeMetrics
-
-
-class TestLatencyReservoir:
-    def test_percentiles_exact_on_small_sample(self):
-        reservoir = LatencyReservoir(capacity=100)
-        for value in [0.010, 0.020, 0.030, 0.040, 0.050]:
-            reservoir.observe(value)
-        assert reservoir.percentile(0) == pytest.approx(0.010)
-        assert reservoir.percentile(50) == pytest.approx(0.030)
-        assert reservoir.percentile(100) == pytest.approx(0.050)
-        assert reservoir.percentile(25) == pytest.approx(0.020)
-
-    def test_empty_reservoir_reports_zero(self):
-        assert LatencyReservoir().percentile(95) == 0.0
-
-    def test_capacity_is_bounded_and_sample_stays_in_range(self):
-        reservoir = LatencyReservoir(capacity=32)
-        for index in range(10_000):
-            reservoir.observe(index / 10_000)
-        assert reservoir.n_seen == 10_000
-        assert len(reservoir._samples) == 32
-        p50 = reservoir.percentile(50)
-        # A uniform reservoir over uniform data should estimate the median
-        # loosely; mostly this guards against systematic bias.
-        assert 0.2 < p50 < 0.8
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-        with pytest.raises(ValueError):
-            LatencyReservoir().percentile(101)
-
-    def test_quantiles_ms_keys(self):
-        reservoir = LatencyReservoir()
-        reservoir.observe(0.002)
-        quantiles = reservoir.quantiles_ms()
-        assert set(quantiles) == {"p50_ms", "p95_ms", "p99_ms"}
-        assert quantiles["p50_ms"] == pytest.approx(2.0)
+from repro.serve.metrics import ServeMetrics
 
 
 class TestServeMetrics:
@@ -86,7 +48,8 @@ class TestServeMetrics:
         assert "counters" in snapshot and "derived" in snapshot
         assert snapshot["counters"]["requests"] == 1
         assert snapshot["batch_size_histogram"] == {"2": 1}
-        assert json.loads(text)["derived"]["p50_ms"] == pytest.approx(1.0)
+        # Interpolated inside the (0.5 ms, 1 ms] latency bucket.
+        assert json.loads(text)["derived"]["p50_ms"] == pytest.approx(0.75)
 
     def test_to_dict_snapshot_ts_is_monotonic(self):
         metrics = ServeMetrics()
@@ -102,3 +65,19 @@ class TestServeMetrics:
         assert "requests served" in text
         assert "cache hit rate:    n/a" in text
         assert "p95" in text
+
+    def test_latency_quantiles_read_the_request_histogram(self):
+        metrics = ServeMetrics()
+        assert metrics.latency_quantiles_ms() == {
+            "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
+        for _ in range(99):
+            metrics.observe_request(0.0007)
+        metrics.observe_request(0.2)
+        quantiles = metrics.latency_quantiles_ms()
+        assert 0.5 < quantiles["p50_ms"] <= 1.0
+        assert quantiles["p99_ms"] <= 1.0
+        gauge = metrics.registry.get("repro_serve_latency_ms")
+        assert gauge.labels(quantile="p50").value == pytest.approx(
+            quantiles["p50_ms"])
+        assert 'repro_serve_latency_ms{quantile="p99"}' in \
+            metrics.prometheus_text()

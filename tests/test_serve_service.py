@@ -257,6 +257,9 @@ class TestAdmissionControl:
                 svc.submit(frozen.features[3:4])
             assert excinfo.value.retry_after > 0
             assert svc.metrics.count("shed_requests") == 1
+            [shed] = svc.metrics.registry.to_dict()[
+                "repro_serve_shed_requests_total"]["series"]
+            assert shed["value"] == 1
             release.set()
             for handle in pending:
                 handle.result(timeout=10.0)
@@ -307,6 +310,31 @@ class TestCompiledKernelRouting:
             family = svc.metrics.registry.get("repro_stage_seconds")
             assert family is not None
             assert family.labels(stage="serve.kernel_vote").count >= 1
+
+    def test_ledger_series_hold_observations(self, frozen_and_totals):
+        # The serve benchmarks read these names from the registry export;
+        # a renamed span or family reads as 0 there, so pin each here.
+        frozen, _ = frozen_and_totals
+        with ProfileService(frozen, max_batch=16, n_workers=1) as svc:
+            svc.classify(frozen.features[:4])
+            svc.classify(frozen.features[:4])
+            export = svc.metrics.registry.to_dict()
+
+        def series(family, **labels):
+            [match] = [s for s in export[family]["series"]
+                       if s["labels"] == labels]
+            return match
+
+        for stage in ("serve.vote", "serve.kernel_vote"):
+            assert series("repro_stage_seconds", stage=stage)["count"] >= 1
+        for family in ("repro_serve_request_latency_seconds",
+                       "repro_serve_queue_wait_seconds",
+                       "repro_serve_batch_assembly_seconds",
+                       "repro_serve_batch_rows"):
+            assert series(family)["count"] >= 1, family
+        assert series("repro_serve_cache_misses_total")["value"] == 4
+        assert series("repro_serve_cache_hits_total")["value"] == 4
+        assert series("repro_serve_shed_requests_total")["value"] == 0
 
     def test_kernel_failure_degrades_under_policy(self):
         frozen, _ = build_frozen_profile(seed=11)

@@ -158,6 +158,21 @@ class TestStreamingProfiler:
         assert streamer.metrics.to_dict()["snapshot_ts"] >= \
             snapshot["snapshot_ts"]
 
+    def test_metrics_to_dict_keeps_timer_and_counter_keys(self, frozen,
+                                                          batches):
+        # The stream-day ledger reads these keys; a renamed span reads 0.
+        streamer = StreamingProfiler(frozen, window_hours=24,
+                                     classify_every=3, drift_check_every=12)
+        for batch in batches[:24]:
+            streamer.ingest(batch)
+        snapshot = streamer.metrics.to_dict()
+        for timer in ("ingest_seconds", "classify_seconds", "drift_seconds"):
+            assert snapshot["timers"][timer] > 0, timer
+        counters = snapshot["counters"]
+        assert counters["batches_ingested"] == 24
+        assert counters["classify_calls"] == 8
+        assert counters["drift_checks"] == 2
+
     def test_metrics_to_dict_latency_none_before_first_pass(self, frozen,
                                                             batches):
         streamer = StreamingProfiler(frozen, window_hours=24,
