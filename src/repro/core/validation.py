@@ -32,14 +32,20 @@ def _validate_labels(features: np.ndarray, labels) -> Tuple[np.ndarray, np.ndarr
     return x, lab
 
 
-def _ordered_distance_chunks(
-    x: np.ndarray, order: np.ndarray, distances: Optional[np.ndarray]
+def _distance_row_chunks(
+    x: np.ndarray, distances: Optional[np.ndarray]
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Row chunks of the distance matrix of ``x[order]``: computed by
-    :func:`repro.core.cluster.distance_chunks`, or gathered from a given
-    N x N ``distances`` after checking its shape."""
+    """Row chunks of the distance matrix of ``x``, rows and columns in
+    ``x``'s own order: computed by :func:`repro.core.cluster.distance_chunks`,
+    or sliced from a given N x N ``distances`` after checking its shape.
+
+    The order is never permuted by labels: BLAS rounds a pair's product
+    differently at different positions, so distances of ``x[order]`` would
+    change by an ulp with the labelling, and two partitions of one ``x``
+    would disagree on the same pair.
+    """
     if distances is None:
-        return distance_chunks(x[order])
+        return distance_chunks(x)
     dist = np.asarray(distances, dtype=float)
     n = x.shape[0]
     if dist.shape != (n, n):
@@ -47,7 +53,7 @@ def _ordered_distance_chunks(
             f"distances must be {n} x {n} to match features of shape "
             f"{x.shape}; got shape {dist.shape}"
         )
-    return ((start, dist[np.ix_(order[start:start + CHUNK_ROWS], order)])
+    return ((start, dist[start:start + CHUNK_ROWS])
             for start in range(0, n, CHUNK_ROWS))
 
 
@@ -76,19 +82,23 @@ def _cluster_reductions(
     diameters.
     """
     order = np.argsort(codes, kind="stable")
-    k = counts.size
+    n, k = codes.size, counts.size
     starts = np.r_[0, np.cumsum(counts[:-1])].astype(np.intp)
-    onehot = _onehot(codes[order], k)
-    sums = np.empty((codes.size, k))
-    to_min = np.empty((codes.size, k))
-    to_max = np.empty((codes.size, k))
-    for start, block in _ordered_distance_chunks(x, order, distances):
+    onehot = _onehot(codes, k)
+    sums = np.empty((n, k))
+    to_min = np.empty((n, k))
+    to_max = np.empty((n, k))
+    grouped = np.empty((min(CHUNK_ROWS, n), n))
+    for start, block in _distance_row_chunks(x, distances):
         rows = slice(start, start + block.shape[0])
         np.matmul(block, onehot, out=sums[rows])
-        to_min[rows] = np.minimum.reduceat(block, starts, axis=1)
-        to_max[rows] = np.maximum.reduceat(block, starts, axis=1)
-    return (order, sums, np.minimum.reduceat(to_min, starts, axis=0),
-            np.maximum.reduceat(to_max, starts, axis=0))
+        # Columns grouped by code, so each cluster is one reduceat span.
+        cols = np.take(block, order, axis=1, out=grouped[: block.shape[0]],
+                       mode="clip")
+        to_min[rows] = np.minimum.reduceat(cols, starts, axis=1)
+        to_max[rows] = np.maximum.reduceat(cols, starts, axis=1)
+    return (order, sums[order], np.minimum.reduceat(to_min[order], starts, axis=0),
+            np.maximum.reduceat(to_max[order], starts, axis=0))
 
 
 def _silhouettes(sums: np.ndarray, counts: np.ndarray,

@@ -240,6 +240,11 @@ class TestScanKMatchesPerK:
         x = np.random.default_rng(seed).normal(size=(n, 3))
         self._check(x, [k for k in ks if k < n] or [2])
 
+    def test_dunn_bits_independent_of_cut_order(self):
+        # Found by test_random_scans: distances of rows grouped by the k = 5
+        # cut differed in the last bit from those grouped by the k = 4 cut.
+        self._check(np.random.default_rng(36).normal(size=(28, 3)), [4, 5])
+
     def test_k_one_rejected(self, rng):
         x = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="two clusters"):
