@@ -10,11 +10,14 @@ structured logs correlated to their spans, and per-stage wall/CPU/
 memory profiles.
 
 Run:  python examples/observability_tour.py
-Then: load trace.json in chrome://tracing (or ui.perfetto.dev) for a
-      flamegraph of where the pipeline spent its time.
+Then: load the trace.json it names (in a temporary directory) in
+      chrome://tracing (or ui.perfetto.dev) for a flamegraph of where
+      the pipeline spent its time.
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 from repro import ICNProfiler, generate_dataset
 from repro.obs import (
@@ -47,8 +50,10 @@ def main():
         print(f"  {indent}{record.name:<22} "
               f"{record.duration_s * 1e3:8.1f} ms  {record.attributes}")
 
-    n_events = store.export_chrome("trace.json")
-    print(f"wrote trace.json ({n_events} events) — "
+    work_dir = Path(tempfile.mkdtemp(prefix="observability_tour_"))
+    trace_path = work_dir / "trace.json"
+    n_events = store.export_chrome(trace_path)
+    print(f"wrote {trace_path} ({n_events} events) — "
           f"open in chrome://tracing")
 
     print("\n=== The metrics registry (Prometheus text) ===")

@@ -6,8 +6,8 @@ systems — slice planners, anomaly monitors, dashboards — want cluster
 answers on demand without touching the training pipeline.  This example
 freezes a profile with its reference service mix, stands up a
 :class:`~repro.serve.ProfileService` (micro-batching + result cache +
-admission control), answers RSCA-vector and raw-volume queries through
-the in-process client, hot-swaps a refreshed profile under live
+admission control), answers RSCA-vector and raw-volume queries on the
+service in-process, hot-swaps a refreshed profile under live
 traffic, then serves the same answers over the stdlib JSON HTTP
 endpoint and reads the operational metrics.
 
@@ -19,8 +19,7 @@ import threading
 import numpy as np
 
 from repro import ICNProfiler, generate_dataset
-from repro.serve import HttpServeClient, ProfileService, ServeClient, \
-    make_server
+from repro.serve import HttpServeClient, ProfileService, make_server
 
 from quickstart import reduced_specs
 
@@ -40,17 +39,15 @@ def main():
 
     print("\n=== In-process serving ===")
     with ProfileService(frozen, max_batch=64, n_workers=2) as service:
-        client = ServeClient(service)
-
-        answer = client.classify(frozen.features[:5])
+        answer = service.classify(frozen.features[:5])
         print(f"RSCA vectors -> clusters {answer.labels.tolist()} "
               f"(profile version {answer.version})")
 
-        answer = client.classify_volumes(dataset.totals[:5])
+        answer = service.classify_volumes(dataset.totals[:5])
         print(f"raw volumes  -> clusters {answer.labels.tolist()} "
               f"(server applied the RCA/RSCA transform)")
 
-        repeat = client.classify(frozen.features[:5])
+        repeat = service.classify(frozen.features[:5])
         print(f"repeat query -> {repeat.n_cached}/{repeat.n_vectors} rows "
               f"answered from the result cache")
 
@@ -60,7 +57,7 @@ def main():
             align_to=dataset.archetypes(),
         ).freeze(service_totals=dataset.totals.sum(axis=0))
         version = service.reload(refreshed, drain_timeout=5.0)
-        late = client.classify(frozen.features[:5])
+        late = service.classify(frozen.features[:5])
         print(f"reloaded as version {version}; old version drained; "
               f"new answers carry version {late.version}")
 

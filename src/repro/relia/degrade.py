@@ -112,17 +112,18 @@ class QuarantinedBatch:
 class ServeDegradePolicy:
     """When and how ``ProfileService`` degrades to nearest-centroid answers.
 
+    Passing a policy is the one switch: with it, the service answers
+    from the frozen profile's nearest-centroid path (marked
+    ``degraded=true``) while the worker pool's breaker is open, instead
+    of raising.
+
     Attributes:
-        fallback_to_centroids: answer from the frozen profile's
-            nearest-centroid path (marked ``degraded=true``) while the
-            worker pool's breaker is open, instead of raising.
         failure_threshold: consecutive vote failures that open the
             breaker.
         reset_timeout_s: seconds the breaker stays open before probing
             the pool again.
     """
 
-    fallback_to_centroids: bool = True
     failure_threshold: int = 3
     reset_timeout_s: float = 5.0
 

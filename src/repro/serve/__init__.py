@@ -9,28 +9,27 @@ in-flight requests; a :class:`MicroBatcher` worker pool aggregates
 concurrent queries into vectorized forest votes; an LRU+TTL
 :class:`ResultCache` short-circuits recurring vectors; and admission
 control sheds load past a queue watermark instead of queueing unbounded
-latency.  A stdlib ``ThreadingHTTPServer`` JSON endpoint
-(:mod:`repro.serve.http`) and an in-process :class:`ServeClient` front
-the same :class:`ProfileService`.
+latency.  In-process callers use :class:`ProfileService` directly; a
+stdlib ``ThreadingHTTPServer`` JSON endpoint (:mod:`repro.serve.http`)
+fronts the same service for remote ones (:class:`HttpServeClient`).
 
 Quickstart::
 
     from repro import generate_dataset, ICNProfiler
-    from repro.serve import ProfileService, ServeClient
+    from repro.serve import ProfileService
 
     dataset = generate_dataset(master_seed=0)
     profile = ICNProfiler(n_clusters=9).fit(dataset)
     frozen = profile.freeze(service_totals=dataset.totals.sum(axis=0))
 
     with ProfileService(frozen, max_batch=64, n_workers=4) as service:
-        client = ServeClient(service)
-        print(client.classify(frozen.features[:5]).labels)
-        print(client.classify_volumes(dataset.totals[:5]).labels)
+        print(service.classify(frozen.features[:5]).labels)
+        print(service.classify_volumes(dataset.totals[:5]).labels)
         print(service.metrics_snapshot()["derived"])
 """
 
 from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_keys
-from repro.serve.client import HttpServeClient, ServeClient
+from repro.serve.client import HttpServeClient
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ProfileRegistry
 from repro.serve.scheduler import MicroBatcher, ShedRequest
@@ -51,7 +50,6 @@ __all__ = [
     "ProfileRegistry",
     "ProfileService",
     "ResultCache",
-    "ServeClient",
     "ServeDegradePolicy",
     "ServeHTTPServer",
     "ServeMetrics",

@@ -19,7 +19,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -43,9 +45,14 @@ def quantize_keys(features: np.ndarray,
 class ResultCache:
     """Thread-safe bounded mapping with LRU eviction and optional TTL.
 
+    Reads and writes are per request: :meth:`get_many` looks up and
+    :meth:`put_many` stores a whole request's keys under one lock
+    acquisition each.  Hit and miss counts live on
+    :class:`~repro.serve.metrics.ServeMetrics`, not here.
+
     Args:
         maxsize: entry capacity; ``0`` disables the cache entirely
-            (every ``get`` misses, ``put`` is a no-op).
+            (every lookup misses, stores are no-ops).
         ttl_seconds: entry lifetime; None keeps entries until evicted.
         clock: monotonic time source, injectable for TTL tests.
     """
@@ -69,8 +76,6 @@ class ResultCache:
             OrderedDict()
         )
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
         self._evictions = 0
         self._expirations = 0
 
@@ -78,35 +83,32 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def enabled(self) -> bool:
-        """False when constructed with ``maxsize=0``."""
-        return self.maxsize > 0
-
-    def get(self, key: Hashable):
-        """Value for ``key``, or None on miss/expiry (touches LRU order)."""
-        if not self.enabled:
-            with self._lock:
-                self._misses += 1
-            return None
+    def get_many(self, keys: Sequence[Hashable]) -> List[Optional[object]]:
+        """Value per key, None where missing or expired (touches LRU order)."""
+        if not self.maxsize:
+            return [None] * len(keys)
+        values: List[Optional[object]] = []
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            value, expires_at = entry
-            if expires_at is not None and self._clock() >= expires_at:
-                del self._entries[key]
-                self._expirations += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+            now = self._clock()
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is None:
+                    values.append(None)
+                    continue
+                value, expires_at = entry
+                if expires_at is not None and now >= expires_at:
+                    del self._entries[key]
+                    self._expirations += 1
+                    values.append(None)
+                    continue
+                self._entries.move_to_end(key)
+                values.append(value)
+        return values
 
-    def put(self, key: Hashable, value) -> None:
-        """Insert/refresh ``key``; evicts least-recently-used on overflow."""
-        if not self.enabled:
+    def put_many(self, keys: Sequence[Hashable],
+                 values: Iterable[object]) -> None:
+        """Insert/refresh each key; evicts least-recently-used on overflow."""
+        if not self.maxsize:
             return
         expires_at = (
             self._clock() + self.ttl_seconds
@@ -114,28 +116,20 @@ class ResultCache:
             else None
         )
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = (value, expires_at)
+            for key, value in zip(keys, values):
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                self._entries[key] = (value, expires_at)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (stats are preserved)."""
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> Dict[str, object]:
-        """Hit/miss/eviction/expiration counters and current size."""
+        """Current size, capacity, and eviction/expiration counts."""
         with self._lock:
-            hits, misses = self._hits, self._misses
             return {
                 "size": len(self._entries),
                 "maxsize": self.maxsize,
-                "hits": hits,
-                "misses": misses,
                 "evictions": self._evictions,
                 "expirations": self._expirations,
-                "hit_rate": hits / (hits + misses) if hits + misses else None,
             }

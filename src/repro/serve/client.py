@@ -1,11 +1,9 @@
-"""Clients for the serving subsystem.
+"""HTTP client for the serving subsystem.
 
-:class:`ServeClient` talks to an in-process :class:`ProfileService`
-directly — the harness tests, benchmarks, and examples use it to drive
-the full cache/admission/micro-batch path without a socket in the way.
 :class:`HttpServeClient` speaks the JSON protocol of
 :mod:`repro.serve.http` over kept-alive :mod:`http.client` connections,
-for end-to-end checks against a live server.
+for end-to-end checks against a live server.  In-process callers use
+:class:`~repro.serve.service.ProfileService` directly.
 
 Trace propagation: every :class:`HttpServeClient` request runs inside a
 ``client.request`` span and carries the active trace as a W3C
@@ -26,36 +24,6 @@ import numpy as np
 
 from repro.obs.trace import inject, span
 from repro.serve.scheduler import ShedRequest
-from repro.serve.service import ClassifyResult, PendingClassify, ProfileService
-
-
-class ServeClient:
-    """In-process client over a :class:`ProfileService`."""
-
-    def __init__(self, service: ProfileService) -> None:
-        self._service = service
-
-    def classify(self, vectors: np.ndarray,
-                 timeout: Optional[float] = None) -> ClassifyResult:
-        """Classify RSCA vectors (blocks for the answer)."""
-        return self._service.classify(vectors, timeout=timeout)
-
-    def classify_volumes(self, volumes: np.ndarray,
-                         timeout: Optional[float] = None) -> ClassifyResult:
-        """Classify raw per-service volumes (blocks for the answer)."""
-        return self._service.classify_volumes(volumes, timeout=timeout)
-
-    def submit(self, vectors: np.ndarray) -> PendingClassify:
-        """Asynchronous classify — lets callers keep many queries in flight."""
-        return self._service.submit(vectors)
-
-    def clusters(self) -> Dict[str, object]:
-        """Per-cluster occupancy/centroid summary."""
-        return self._service.cluster_summaries()
-
-    def metrics(self) -> Dict[str, object]:
-        """Node metrics snapshot."""
-        return self._service.metrics_snapshot()
 
 
 class HttpServeClient:

@@ -58,8 +58,7 @@ admission shed -> 429 with a ``Retry-After`` header; unknown path ->
 JSON body** (``error``/``error_type``/``request_id``/``trace_id``) —
 never a bare status line — and a structured log line carrying the same
 correlation ids, so an operator can join the client-visible failure to
-the server-side trace.  Each request runs inside a ``serve.http`` span
-when tracing is enabled.
+the server-side trace.
 """
 
 from __future__ import annotations
@@ -318,7 +317,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._refresh_slo()
             self._respond_bytes(
                 200,
-                self.service.metrics_text().encode("utf-8"),
+                self.service.metrics.registry.prometheus_text().encode(
+                    "utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         elif self.path == "/metrics.json":
@@ -435,19 +435,11 @@ class ServeHTTPServer(ThreadingHTTPServer):
         self.tsdb = tsdb
 
 
-def make_server(
-    service: ProfileService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    verbose: bool = False,
-    slo_engine: Optional[SLOEngine] = None,
-    alert_manager: Optional[AlertManager] = None,
-    profiler: Optional[ContinuousProfiler] = None,
-    tsdb: Optional[MetricsTSDB] = None,
-) -> ServeHTTPServer:
-    """Bind a :class:`ServeHTTPServer` (``port=0`` picks a free port)."""
-    return ServeHTTPServer(
-        (host, port), service, verbose=verbose,
-        slo_engine=slo_engine, alert_manager=alert_manager,
-        profiler=profiler, tsdb=tsdb,
-    )
+def make_server(service: ProfileService, host: str = "127.0.0.1",
+                port: int = 8080, **options) -> ServeHTTPServer:
+    """Bind a :class:`ServeHTTPServer` (``port=0`` picks a free port).
+
+    ``options`` are the server's keyword arguments: ``verbose``,
+    ``slo_engine``, ``alert_manager``, ``profiler`` and ``tsdb``.
+    """
+    return ServeHTTPServer((host, port), service, **options)

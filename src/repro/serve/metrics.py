@@ -11,9 +11,10 @@ dashboard can scrape either node type.
 
 The class is a thin facade over a :class:`repro.obs.MetricsRegistry`:
 every counter is a registry counter family (``repro_serve_<name>_total``)
-held as its bound child, and :meth:`ServeMetrics.prometheus_text`
-renders the whole node state in the Prometheus text format for the
-serve endpoint's ``GET /metrics``.  The p50/p95/p99 latencies (the
+held as its bound child, and ``registry.prometheus_text()`` renders the
+whole node state in the Prometheus text format for the serve endpoint's
+``GET /metrics``.  The ``cache_hits``/``cache_misses`` counters are the
+node's only cache hit count.  The p50/p95/p99 latencies (the
 ``repro_serve_latency_ms{quantile=...}`` gauges and ``to_dict()``'s
 ``derived`` section) and the mean batch size are read from the
 histograms; quantiles are interpolated inside the request-latency
@@ -256,7 +257,3 @@ class ServeMetrics:
             # strictly larger value within a process.
             "snapshot_ts": time.monotonic(),
         }
-
-    def prometheus_text(self) -> str:
-        """This node's registry in the Prometheus text exposition format."""
-        return self.registry.prometheus_text()

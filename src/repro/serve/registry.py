@@ -87,10 +87,6 @@ class ProfileRegistry:
             displaced.drained.wait(drain_timeout)
         return version
 
-    def load_path(self, path, drain_timeout: Optional[float] = None) -> int:
-        """Load a ``FrozenProfile`` artifact from ``.npz`` and install it."""
-        return self.load(FrozenProfile.load(path), drain_timeout=drain_timeout)
-
     # ------------------------------------------------------------------
     # Read-side access
     # ------------------------------------------------------------------
@@ -138,13 +134,6 @@ class ProfileRegistry:
         if handle is None:
             return True
         return handle.drained.wait(timeout)
-
-    def in_flight(self) -> int:
-        """Readers currently pinning any version (current or retiring)."""
-        with self._lock:
-            total = self._current.refs if self._current else 0
-            total += sum(h.refs for h in self._retiring.values())
-            return total
 
     # ------------------------------------------------------------------
     # Summaries

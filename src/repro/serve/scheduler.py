@@ -17,6 +17,10 @@ Admission control is the bounded queue itself: when the queue holds
 further submissions are *shed* immediately with a suggested retry delay
 (:class:`ShedRequest`) rather than queued into ever-growing latency —
 fail fast and let the load balancer retry elsewhere.
+
+Each executed batch records its rows and assembly time, and each request
+its queue wait, on the batcher's
+:class:`~repro.serve.metrics.ServeMetrics`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from repro.obs import get_logger, get_registry
 from repro.relia.errors import WorkerCrash
 from repro.relia.faults import fault_point
+from repro.serve.metrics import ServeMetrics
 
 #: Sentinel instructing a worker to exit.
 _STOP = object()
@@ -90,13 +95,9 @@ class MicroBatcher:
         max_queue_depth: admission watermark — queued requests beyond
             which submissions are shed.
         shed_retry_after_s: back-off suggested to shed clients.
-        on_batch: optional callback ``(n_requests, n_rows)`` per executed
-            batch (metrics hook).
-        on_queue_wait: optional callback ``(seconds)`` per request with
-            its submit-to-execution queue wait (request-lifecycle
-            metrics hook).
-        on_assembly: optional callback ``(seconds)`` per executed batch
-            with the time spent draining the queue to assemble it.
+        metrics: records each executed batch's rows, each request's
+            queue wait and each batch's assembly time (a private
+            :class:`~repro.serve.metrics.ServeMetrics` by default).
         max_item_retries: times a request held by a crashed worker is
             requeued before it is failed with :class:`WorkerCrash` —
             a request is never dropped silently either way.
@@ -111,9 +112,7 @@ class MicroBatcher:
         n_workers: int = 2,
         max_queue_depth: int = 256,
         shed_retry_after_s: float = 0.05,
-        on_batch: Optional[Callable[[int, int], None]] = None,
-        on_queue_wait: Optional[Callable[[float], None]] = None,
-        on_assembly: Optional[Callable[[float], None]] = None,
+        metrics: Optional[ServeMetrics] = None,
         max_item_retries: int = 2,
         on_worker_crash: Optional[Callable[[int, BaseException], None]] = None,
     ) -> None:
@@ -134,9 +133,7 @@ class MicroBatcher:
             raise ValueError(
                 f"max_item_retries must be >= 0, got {max_item_retries}"
             )
-        self._on_batch = on_batch
-        self._on_queue_wait = on_queue_wait
-        self._on_assembly = on_assembly
+        self.metrics = metrics if metrics is not None else ServeMetrics()
         self.max_item_retries = int(max_item_retries)
         self._on_worker_crash = on_worker_crash
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue_depth)
@@ -281,8 +278,7 @@ class MicroBatcher:
                 item.error = exc
                 item.done.set()
             return
-        if self._on_batch is not None:
-            self._on_batch(len(batch), int(stacked.shape[0]))
+        self.metrics.observe_batch(int(stacked.shape[0]))
         offset = 0
         for item in batch:
             rows = item.features.shape[0]
@@ -304,11 +300,9 @@ class MicroBatcher:
             # gathered batch — the supervisor must requeue every member.
             fault_point("serve.worker", worker=index)
             now = time.monotonic()
-            if self._on_assembly is not None:
-                self._on_assembly(now - gather_start)
-            if self._on_queue_wait is not None:
-                for member in batch:
-                    self._on_queue_wait(now - member.enqueued_at)
+            self.metrics.observe_assembly(now - gather_start)
+            for member in batch:
+                self.metrics.observe_queue_wait(now - member.enqueued_at)
             self._execute(batch)
             self._inflight.pop(index, None)
             if saw_stop:

@@ -1,9 +1,9 @@
 """The profile-serving facade: registry + micro-batcher + cache + metrics.
 
-:class:`ProfileService` is the in-process serving engine behind both the
-HTTP endpoint (:mod:`repro.serve.http`) and the test/bench client
-(:class:`repro.serve.client.ServeClient`).  It answers three query
-types against the registry's current :class:`FrozenProfile` version:
+:class:`ProfileService` is the serving engine behind the HTTP endpoint
+(:mod:`repro.serve.http`); callers in the same process use it directly.
+It answers three query types against the registry's current
+:class:`FrozenProfile` version:
 
 * ``classify`` — label RSCA feature vectors;
 * ``classify_volumes`` — label raw per-service traffic volumes; the
@@ -49,6 +49,9 @@ __all__ = [
 
 _log = get_logger("repro.serve.service")
 
+#: The empty row set: no cache hits, or no rows voted fresh.
+_NO_ROWS = np.empty(0, dtype=int)
+
 
 @dataclass(frozen=True)
 class ClassifyResult:
@@ -86,7 +89,11 @@ class PendingClassify:
     Created by :meth:`ProfileService.submit` /
     :meth:`ProfileService.submit_volumes`; the asynchronous form lets
     benchmarks and the HTTP layer keep many requests in flight so the
-    micro-batcher actually has co-riders to aggregate.
+    micro-batcher actually has co-riders to aggregate.  The cache pass
+    splits the request's rows into ``hit_rows`` (answered by
+    ``hit_labels``) and ``missing`` (sent to the batcher as ``item``;
+    no ``item`` for missing rows means the breaker was open, so they are
+    answered from the nearest centroids).
     """
 
     def __init__(
@@ -94,49 +101,48 @@ class PendingClassify:
         service: "ProfileService",
         features: np.ndarray,
         keys: List[bytes],
-        cached_labels: Dict[int, int],
+        hit_rows: np.ndarray,
+        hit_labels: np.ndarray,
         item,
-        missing: List[int],
-        version: Optional[int],
+        missing: np.ndarray,
+        version: int,
         started_at: float,
-        degrade_now: bool = False,
     ) -> None:
         self._service = service
         self._features = features
         self._keys = keys
-        self._cached_labels = cached_labels
+        self._hit_rows = hit_rows
+        self._hit_labels = hit_labels
         self._item = item
         self._missing = missing
         self._version = version
         self._started_at = started_at
-        self._degrade_now = degrade_now
+
+    def _answer(self, fresh: np.ndarray, version: int,
+                degraded: bool = False) -> ClassifyResult:
+        """Assemble cache hits and fresh labels into one recorded answer."""
+        n = self._features.shape[0]
+        labels = np.empty(n, dtype=int)
+        labels[self._missing] = fresh
+        labels[self._hit_rows] = self._hit_labels
+        cached = np.zeros(n, dtype=bool)
+        cached[self._hit_rows] = True
+        self._service.metrics.observe_request(
+            time.perf_counter() - self._started_at, n_vectors=n
+        )
+        return ClassifyResult(labels=labels, version=int(version),
+                              cached=cached, degraded=degraded)
 
     def _fallback(self) -> ClassifyResult:
         """Answer from nearest centroids, marked degraded (never cached)."""
         service = self._service
-        n = self._features.shape[0]
-        labels = np.empty(n, dtype=int)
-        cached_mask = np.zeros(n, dtype=bool)
-        if self._missing:
-            fresh, version = service._degrade_labels(
-                self._features[self._missing]
-            )
-            for slot, row in enumerate(self._missing):
-                labels[row] = int(fresh[slot])
-        else:
-            version = self._version
-        for row, label in self._cached_labels.items():
-            labels[row] = label
-            cached_mask[row] = True
-        service._degraded_total.inc(len(self._missing))
-        service.metrics.observe_request(
-            time.perf_counter() - self._started_at, n_vectors=n
-        )
-        assert version is not None
-        return ClassifyResult(
-            labels=labels, version=int(version), cached=cached_mask,
-            degraded=True,
-        )
+        rows = self._features[self._missing]
+        with span("serve.degraded_vote", registry=service.metrics.registry,
+                  rows=int(rows.shape[0])):
+            with service.registry.acquire() as (version, profile):
+                fresh = profile.nearest_centroids(rows)
+        service._degraded_total.inc(rows.shape[0])
+        return self._answer(fresh, version, degraded=True)
 
     def result(self, timeout: Optional[float] = None) -> ClassifyResult:
         """Block until classified; returns a version-consistent answer.
@@ -148,51 +154,35 @@ class PendingClassify:
         admission error, never a silent drop.
         """
         service = self._service
-        if self._degrade_now:
+        if self._item is None and self._missing.size:
             return self._fallback()
-        n = self._features.shape[0]
-        labels = np.empty(n, dtype=int)
-        cached_mask = np.zeros(n, dtype=bool)
+        fresh, version = _NO_ROWS, self._version
         try:
-            if self._item is None:
-                # Fully served from cache: all entries share self._version.
-                for row, label in self._cached_labels.items():
-                    labels[row] = label
-                    cached_mask[row] = True
-                version = self._version
-                assert version is not None
-            else:
+            if self._item is not None:
                 fresh, version = MicroBatcher.wait(self._item, timeout)
-                if self._cached_labels and version != self._version:
+                if self._hit_rows.size and version != self._version:
                     # A hot swap landed between the cache pass and the
                     # batch: cached labels are old-version.  Re-classify
                     # everything in one batch for a single-version answer.
+                    self._missing = np.arange(self._features.shape[0])
+                    self._hit_rows = self._hit_labels = _NO_ROWS
                     retry = service._batcher.submit(self._features)
                     fresh, version = MicroBatcher.wait(retry, timeout)
-                    for row in range(n):
-                        labels[row] = int(fresh[row])
-                        service._store(version, self._keys[row], labels[row])
-                else:
-                    for slot, row in enumerate(self._missing):
-                        labels[row] = int(fresh[slot])
-                        service._store(version, self._keys[row], labels[row])
-                    for row, label in self._cached_labels.items():
-                        labels[row] = label
-                        cached_mask[row] = True
+                fresh = np.asarray(fresh, dtype=int)
+                keys = [(version, self._keys[row])
+                        for row in self._missing.tolist()]
+                service.cache.put_many(keys, fresh.tolist())
+        except ShedRequest:
+            service.metrics.incr("shed_requests")
+            raise
         except BaseException as exc:
-            if service._may_degrade(exc):
-                service._note_vote_failure(exc)
+            if service._degrades(exc):
                 return self._fallback()
             service.metrics.incr("errors")
             raise
-        if self._item is not None:
-            service._note_vote_success()
-        service.metrics.observe_request(
-            time.perf_counter() - self._started_at, n_vectors=n
-        )
-        return ClassifyResult(
-            labels=labels, version=int(version), cached=cached_mask
-        )
+        if self._item is not None and service._breaker is not None:
+            service._breaker.record_success()
+        return self._answer(fresh, version)
 
 
 class ProfileService:
@@ -243,18 +233,13 @@ class ProfileService:
         self.registry = ProfileRegistry()
         self.cache = ResultCache(maxsize=cache_size, ttl_seconds=cache_ttl_s)
         self.cache_decimals = int(cache_decimals)
-        self.degrade = degrade
         self._batcher = MicroBatcher(
             self._classify_batch,
             max_batch=max_batch,
             n_workers=n_workers,
             max_queue_depth=max_queue_depth,
             shed_retry_after_s=shed_retry_after_s,
-            on_batch=lambda n_requests, n_rows: self.metrics.observe_batch(
-                n_rows
-            ),
-            on_queue_wait=self.metrics.observe_queue_wait,
-            on_assembly=self.metrics.observe_assembly,
+            metrics=self.metrics,
             max_item_retries=max_item_retries,
             on_worker_crash=self._note_worker_crash,
         )
@@ -270,7 +255,7 @@ class ProfileService:
         ).set_function(lambda: self.registry.current_version() or 0)
         obs_registry.gauge(
             "repro_serve_cache_entries", "Result-cache entries resident"
-        ).set_function(lambda: self.cache.stats()["size"])
+        ).set_function(lambda: len(self.cache))
         self._degraded_total = obs_registry.counter(
             "repro_degraded_answers_total",
             "Queries answered from the nearest-centroid fallback path",
@@ -328,45 +313,25 @@ class ProfileService:
                     f"serves {profile.centroids.shape[1]} services"
                 )
         keys = quantize_keys(features, self.cache_decimals)
-        cached_labels: Dict[int, int] = {}
-        missing: List[int] = []
-        for row, key in enumerate(keys):
-            hit = self.cache.get((version, key))
-            if hit is None:
-                missing.append(row)
-            else:
-                cached_labels[row] = int(hit)
-        self.metrics.incr("cache_hits", len(cached_labels))
-        self.metrics.incr("cache_misses", len(missing))
+        found = self.cache.get_many([(version, key) for key in keys])
+        hits = [row for row, label in enumerate(found) if label is not None]
+        misses = [row for row, label in enumerate(found) if label is None]
+        self.metrics.incr("cache_hits", len(hits))
+        self.metrics.incr("cache_misses", len(misses))
+        hit_rows = np.array(hits, dtype=int)
+        hit_labels = np.array([found[row] for row in hits], dtype=int)
+        missing = np.array(misses, dtype=int)
         item = None
-        degrade_now = False
-        if missing:
-            if (
-                self._breaker is not None
-                and self.degrade is not None
-                and self.degrade.fallback_to_centroids
-                and not self._breaker.allow()
-            ):
-                # Worker pool unhealthy: skip the batcher entirely and
-                # answer from centroids while the breaker stays open.
-                degrade_now = True
-            else:
-                try:
-                    item = self._batcher.submit(features[missing])
-                except ShedRequest:
-                    self.metrics.incr("shed_requests")
-                    raise
-        return PendingClassify(
-            self,
-            features,
-            keys,
-            cached_labels,
-            item,
-            missing,
-            version,
-            started_at,
-            degrade_now=degrade_now,
-        )
+        # With the breaker open the worker pool is skipped entirely and
+        # the missing rows are answered from the nearest centroids.
+        if missing.size and (self._breaker is None or self._breaker.allow()):
+            try:
+                item = self._batcher.submit(features[missing])
+            except ShedRequest:
+                self.metrics.incr("shed_requests")
+                raise
+        return PendingClassify(self, features, keys, hit_rows, hit_labels,
+                               item, missing, version, started_at)
 
     def classify(self, vectors: np.ndarray,
                  timeout: Optional[float] = None) -> ClassifyResult:
@@ -409,43 +374,28 @@ class ProfileService:
                 with span("serve.kernel_vote", registry=registry, rows=rows):
                     return profile.kernel().vote(features), version
 
-    def _store(self, version: int, key: bytes, label: int) -> None:
-        self.cache.put((version, key), int(label))
+    def _degrades(self, exc: BaseException) -> bool:
+        """Record a batch failure that falls back; False if it must raise.
 
-    def _degrade_labels(self, features: np.ndarray):
-        """Nearest-centroid labels under a single pinned version."""
-        with span("serve.degraded_vote", registry=self.metrics.registry,
-                  rows=int(features.shape[0])):
-            with self.registry.acquire() as (version, profile):
-                return profile.nearest_centroids(features), version
-
-    def _may_degrade(self, exc: BaseException) -> bool:
-        """Whether this batch failure should fall back, not raise."""
-        if self.degrade is None or not self.degrade.fallback_to_centroids:
+        Without a degrade policy every failure raises, and malformed
+        input fails loudly under one too; any other batch failure (a
+        worker crash, a timeout, a failing kernel) is answered from the
+        nearest centroids.
+        """
+        if (self._breaker is None or not isinstance(exc, Exception)
+                or isinstance(exc, (ValueError, TypeError))):
             return False
-        # Admission control stays fail-fast and malformed input fails
-        # loudly; any other batch failure (a worker crash, a timeout, a
-        # failing kernel) is answered from the nearest centroids.
-        return isinstance(exc, Exception) and not isinstance(
-            exc, (ShedRequest, ValueError, TypeError)
-        )
-
-    def _note_worker_crash(self, index: int, exc: BaseException) -> None:
-        if self._breaker is not None:
-            self._breaker.record_failure()
-
-    def _note_vote_failure(self, exc: BaseException) -> None:
         self.metrics.incr("errors")
-        if self._breaker is not None:
-            self._breaker.record_failure()
+        self._breaker.record_failure()
         _log.warning(
             "degraded_answer", error_type=type(exc).__name__,
             error=str(exc),
         )
+        return True
 
-    def _note_vote_success(self) -> None:
+    def _note_worker_crash(self, index: int, exc: BaseException) -> None:
         if self._breaker is not None:
-            self._breaker.record_success()
+            self._breaker.record_failure()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -459,7 +409,3 @@ class ProfileService:
         snapshot["max_queue_depth"] = self._batcher.max_queue_depth
         snapshot["profile_version"] = self.registry.current_version()
         return snapshot
-
-    def metrics_text(self) -> str:
-        """This node's full metric surface as Prometheus exposition text."""
-        return self.metrics.prometheus_text()

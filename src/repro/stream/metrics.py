@@ -15,7 +15,7 @@ children, and the timers are read from the ``stream.ingest``,
 :class:`~repro.stream.profiler.StreamingProfiler` opens on this
 registry (the sums of ``repro_stage_seconds{stage=...}``), so an
 ingestion node exposes the same Prometheus text surface as a serving
-node (:meth:`StreamMetrics.prometheus_text`).  All mutations are
+node (``registry.prometheus_text()``).  All mutations are
 thread-safe under the registry's per-family locks — an ingestion node may share its
 metrics object between a reader thread and a checkpointing thread.
 Each instance owns a private registry by default; pass a shared one to
@@ -138,10 +138,6 @@ class StreamMetrics:
             # (cached / re-served) snapshot.
             "snapshot_ts": time.monotonic(),
         }
-
-    def prometheus_text(self) -> str:
-        """This node's registry in the Prometheus text exposition format."""
-        return self.registry.prometheus_text()
 
     # ------------------------------------------------------------------
     # Checkpointing

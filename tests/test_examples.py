@@ -1,4 +1,4 @@
-"""Smoke-run the examples that cluster and write no files.
+"""Smoke-run the examples that cluster and write no tracked files.
 
 Each runs as its own process from ``examples/`` (where the scripts import
 one another from), against this checkout's ``src``.
@@ -14,7 +14,10 @@ import pytest
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["quickstart.py", "custom_deployment.py"])
+@pytest.mark.parametrize("script", [
+    "quickstart.py", "custom_deployment.py", "serving_queries.py",
+    "resilience_tour.py", "observability_tour.py",
+])
 def test_example_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

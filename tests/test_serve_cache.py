@@ -48,51 +48,32 @@ class TestQuantizeKey:
 class TestResultCache:
     def test_put_get_roundtrip(self):
         cache = ResultCache(maxsize=4)
-        cache.put(b"k", 7)
-        assert cache.get(b"k") == 7
-        assert cache.stats()["hits"] == 1
-
-    def test_miss_counts(self):
-        cache = ResultCache(maxsize=4)
-        assert cache.get(b"absent") is None
-        assert cache.stats()["misses"] == 1
+        cache.put_many([b"k"], [7])
+        assert cache.get_many([b"k", b"absent"]) == [7, None]
 
     def test_lru_eviction_order(self):
         cache = ResultCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a": now "b" is least recent
-        cache.put("c", 3)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
+        cache.put_many(["a", "b"], [1, 2])
+        cache.get_many(["a"])   # refresh "a": now "b" is least recent
+        cache.put_many(["c"], [3])
+        assert cache.get_many(["a", "b", "c"]) == [1, None, 3]
         assert cache.stats()["evictions"] == 1
 
     def test_ttl_expiry_with_injected_clock(self):
         now = [0.0]
         cache = ResultCache(maxsize=4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("k", 1)
+        cache.put_many(["k"], [1])
         now[0] = 9.9
-        assert cache.get("k") == 1
+        assert cache.get_many(["k"]) == [1]
         now[0] = 10.1
-        assert cache.get("k") is None
+        assert cache.get_many(["k"]) == [None]
         assert cache.stats()["expirations"] == 1
 
     def test_disabled_cache(self):
         cache = ResultCache(maxsize=0)
-        assert not cache.enabled
-        cache.put("k", 1)
-        assert cache.get("k") is None
+        cache.put_many(["k"], [1])
+        assert cache.get_many(["k"]) == [None]
         assert len(cache) == 0
-
-    def test_clear_preserves_stats(self):
-        cache = ResultCache(maxsize=4)
-        cache.put("k", 1)
-        cache.get("k")
-        cache.clear()
-        assert cache.get("k") is None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["size"] == 0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -100,16 +81,15 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(ttl_seconds=0.0)
 
-    def test_hit_rate(self):
-        cache = ResultCache(maxsize=4)
-        cache.put("k", 1)
-        cache.get("k")
-        cache.get("absent")
-        assert cache.stats()["hit_rate"] == pytest.approx(0.5)
-
     def test_put_refresh_updates_value(self):
         cache = ResultCache(maxsize=2)
-        cache.put("k", 1)
-        cache.put("k", 2)
-        assert cache.get("k") == 2
+        cache.put_many(["k"], [1])
+        cache.put_many(["k"], [2])
+        assert cache.get_many(["k"]) == [2]
         assert len(cache) == 1
+
+    def test_stats_keep_size_and_bounds_only(self):
+        cache = ResultCache(maxsize=4)
+        cache.put_many(["k"], [1])
+        assert cache.stats() == {"size": 1, "maxsize": 4, "evictions": 0,
+                                 "expirations": 0}

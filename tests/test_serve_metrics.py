@@ -80,4 +80,4 @@ class TestServeMetrics:
         assert gauge.labels(quantile="p50").value == pytest.approx(
             quantiles["p50_ms"])
         assert 'repro_serve_latency_ms{quantile="p99"}' in \
-            metrics.prometheus_text()
+            metrics.registry.prometheus_text()

@@ -36,17 +36,6 @@ class TestInstallation:
         with pytest.raises(TypeError):
             ProfileRegistry().load(np.zeros(3))
 
-    def test_load_path_roundtrip(self, frozen_pair, tmp_path):
-        first, _ = frozen_pair
-        artifact = tmp_path / "frozen.npz"
-        first.save(artifact)
-        registry = ProfileRegistry()
-        version = registry.load_path(artifact)
-        with registry.acquire() as (acquired_version, profile):
-            assert acquired_version == version
-            assert np.array_equal(profile.labels, first.labels)
-            assert profile.service_totals is not None
-
 
 class TestAcquireAndDrain:
     def test_acquire_pins_old_version_across_swap(self, frozen_pair):
@@ -78,11 +67,9 @@ class TestAcquireAndDrain:
         assert holding.wait(5.0)
         registry.load(second)
         assert registry.drain(1, timeout=0.05) is False  # still held
-        assert registry.in_flight() == 1
         release.set()
         assert registry.drain(1, timeout=5.0) is True
         thread.join(5.0)
-        assert registry.in_flight() == 0
 
     def test_drain_of_unknown_version_is_immediate(self, frozen_pair):
         first, _ = frozen_pair

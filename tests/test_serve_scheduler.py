@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.serve.metrics import ServeMetrics
 from repro.serve.scheduler import MicroBatcher, ShedRequest
 
 
@@ -117,13 +118,18 @@ class TestBatching:
         assert labels.size == 10
         assert sizes == [10]
 
-    def test_on_batch_callback_sees_requests_and_rows(self):
-        seen = []
+    def test_metrics_see_batch_rows_and_waits(self):
+        metrics = ServeMetrics()
         with MicroBatcher(_echo_classify, max_batch=8, n_workers=1,
-                          on_batch=lambda reqs, rows: seen.append(
-                              (reqs, rows))) as batcher:
+                          metrics=metrics) as batcher:
             MicroBatcher.wait(batcher.submit(np.zeros((3, 2))), timeout=5.0)
-        assert seen == [(1, 3)]
+        assert metrics.count("batches_executed") == 1
+        assert metrics.batch_size_histogram() == {4: 1}
+        export = metrics.registry.to_dict()
+        for family in ("repro_serve_queue_wait_seconds",
+                       "repro_serve_batch_assembly_seconds"):
+            [series] = export[family]["series"]
+            assert series["count"] == 1, family
 
 
 class TestWorkConserving:

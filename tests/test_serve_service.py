@@ -1,6 +1,7 @@
 """Tests for the ProfileService facade: correctness under concurrency,
 hot-swap version consistency, caching, volumes, and admission."""
 
+import queue
 import threading
 import time
 
@@ -9,7 +10,6 @@ import pytest
 
 from repro.serve import (
     ProfileService,
-    ServeClient,
     ServeDegradePolicy,
     ShedRequest,
 )
@@ -19,6 +19,26 @@ from tests.conftest import build_frozen_profile
 @pytest.fixture(scope="module")
 def frozen_and_totals():
     return build_frozen_profile()
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+def _counter(svc, family):
+    [series] = svc.metrics.registry.to_dict()[family]["series"]
+    return series["value"]
 
 
 @pytest.fixture()
@@ -86,6 +106,18 @@ class TestCaching:
         result = service.classify(row + 1e-9)
         assert result.n_cached == 1
 
+    def test_classify_takes_the_cache_lock_at_most_twice(
+            self, frozen_and_totals):
+        # One lookup pass and one store pass per request, not one per row.
+        frozen, _ = frozen_and_totals
+        with ProfileService(frozen, n_workers=1) as svc:
+            lock = svc.cache._lock = _CountingLock()
+            svc.classify(frozen.features[:4])
+            assert lock.acquired <= 2
+            lock.acquired = 0
+            assert svc.classify(frozen.features[:4]).n_cached == 4
+            assert lock.acquired <= 2
+
     def test_reload_invalidates_by_version_key(self, frozen_and_totals):
         frozen, _ = frozen_and_totals
         shifted, _ = build_frozen_profile(label_shift=10)
@@ -116,7 +148,6 @@ class TestConcurrencyCorrectness:
 
         with ProfileService(frozen, max_batch=16, n_workers=4,
                             max_queue_depth=4096, cache_size=256) as svc:
-            client = ServeClient(svc)
             barrier = threading.Barrier(n_threads)
 
             def worker(thread_index):
@@ -128,12 +159,12 @@ class TestConcurrencyCorrectness:
                     stop = min(row + span, frozen.features.shape[0])
                     try:
                         if rng.random() < 0.5:
-                            result = client.classify(
+                            result = svc.classify(
                                 frozen.features[row:stop], timeout=30.0
                             )
                             reference = expected_vectors[row:stop]
                         else:
-                            result = client.classify_volumes(
+                            result = svc.classify_volumes(
                                 totals[row:stop], timeout=30.0
                             )
                             reference = expected_volumes[row:stop]
@@ -182,7 +213,6 @@ class TestHotSwap:
 
         with ProfileService(frozen_a, max_batch=8, n_workers=2,
                             max_queue_depth=4096, cache_size=512) as svc:
-            client = ServeClient(svc)
 
             def traffic(seed):
                 rng = np.random.default_rng(seed)
@@ -190,7 +220,7 @@ class TestHotSwap:
                     row = int(rng.integers(0, frozen_a.features.shape[0] - 4))
                     block = frozen_a.features[row:row + 4]
                     try:
-                        result = client.classify(block, timeout=30.0)
+                        result = svc.classify(block, timeout=30.0)
                     except Exception as exc:  # noqa: BLE001 - recorded
                         failures.append(repr(exc))
                         return
@@ -226,9 +256,52 @@ class TestHotSwap:
             # The displaced version fully drained.
             assert svc.registry.drain(1, timeout=5.0)
             # Traffic continued on the new version after the swap.
-            late = client.classify(frozen_a.features[:4])
+            late = svc.classify(frozen_a.features[:4])
             assert late.version == 2
             assert np.array_equal(late.labels, expected[2][:4])
+
+    def test_shed_reclassify_counts_as_shed_not_error(self):
+        # A reload lands between the cache pass and the batch, so the
+        # answer is re-classified whole; the queue is full at that moment,
+        # so the re-submission is shed and must be counted as such.
+        frozen_a, _ = build_frozen_profile(n_antennas=60)
+        frozen_b, _ = build_frozen_profile(n_antennas=60, label_shift=10)
+        permits = threading.Semaphore(0)
+        entered = queue.Queue()
+        for frozen in (frozen_a, frozen_b):
+            kernel = frozen.kernel()
+
+            def gated_vote(features, vote=kernel.vote):
+                entered.put(features.shape[0])
+                permits.acquire(timeout=10.0)
+                return vote(features)
+
+            kernel.vote = gated_vote  # instance attribute shadows the method
+        features = frozen_a.features
+        with ProfileService(frozen_a, max_batch=1, n_workers=1,
+                            max_queue_depth=1) as svc:
+            permits.release()
+            svc.classify(features[0:1], timeout=10.0)  # row 0 cached at v1
+            entered.get(timeout=5.0)
+            blocker = svc.submit(features[5:6])
+            entered.get(timeout=5.0)          # the worker holds v1's vote
+            pending = svc.submit(features[0:2])  # row 0 hit, row 1 queued
+            assert svc.reload(frozen_b, drain_timeout=None) == 2
+            permits.release()
+            entered.get(timeout=5.0)          # row 1 now votes at v2
+            others = [svc.submit(features[6:7])]
+            permits.release()
+            entered.get(timeout=5.0)          # the worker holds row 6
+            others.append(svc.submit(features[7:8]))  # the queue is full
+            with pytest.raises(ShedRequest):
+                pending.result(timeout=10.0)
+            assert svc.metrics.count("shed_requests") == 1
+            assert svc.metrics.count("errors") == 0
+            for _ in range(4):
+                permits.release()
+            blocker.result(timeout=10.0)
+            for handle in others:
+                assert handle.result(timeout=10.0).version == 2
 
 
 class TestAdmissionControl:
@@ -274,9 +347,24 @@ class TestMetricsSnapshot:
         assert snapshot["profile_version"] == 1
         assert snapshot["counters"]["requests"] == 2
         assert snapshot["counters"]["vectors_classified"] == 16
-        assert snapshot["cache"]["hits"] >= 8
+        assert snapshot["counters"]["cache_hits"] >= 8
         assert snapshot["derived"]["cache_hit_rate"] == pytest.approx(0.5)
         assert snapshot["queue_depth"] == 0
+
+    def test_cache_hit_rate_reads_the_registry_counters(
+            self, frozen_and_totals):
+        frozen, _ = frozen_and_totals
+        for cache_size, hits, misses in ((64, 3, 9), (0, 0, 12)):
+            with ProfileService(frozen, n_workers=1,
+                                cache_size=cache_size) as svc:
+                svc.classify(frozen.features[:6])
+                svc.classify(frozen.features[3:9])
+                snapshot = svc.metrics_snapshot()
+                assert _counter(svc, "repro_serve_cache_hits_total") == hits
+                assert _counter(svc, "repro_serve_cache_misses_total") \
+                    == misses
+                assert snapshot["derived"]["cache_hit_rate"] == \
+                    pytest.approx(hits / (hits + misses))
 
     def test_errors_counted(self, service):
         with pytest.raises(ValueError):
