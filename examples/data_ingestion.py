@@ -31,9 +31,8 @@ from repro.io import (
 from quickstart import reduced_specs
 
 
-def main():
+def main(workdir: Path):
     dataset = generate_dataset(master_seed=1, specs=reduced_specs())
-    workdir = Path(tempfile.mkdtemp(prefix="repro-io-"))
 
     print("=== Wide totals CSV (the clustering input) ===")
     totals_path = workdir / "totals.csv"
@@ -83,4 +82,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="repro-io-") as tmp:
+        main(Path(tmp))

@@ -9,10 +9,11 @@ the pipeline's stages, the Prometheus-text metrics registry, JSON-line
 structured logs correlated to their spans, and per-stage wall/CPU/
 memory profiles.
 
-Run:  python examples/observability_tour.py
-Then: load the trace.json it names (in a temporary directory) in
-      chrome://tracing (or ui.perfetto.dev) for a flamegraph of where
-      the pipeline spent its time.
+Run:  python examples/observability_tour.py [TRACE_DIR]
+Then: load the trace.json it writes into TRACE_DIR in chrome://tracing
+      (or ui.perfetto.dev) for a flamegraph of where the pipeline spent
+      its time.  Without TRACE_DIR the trace goes to a temporary
+      directory that is removed on exit.
 """
 
 import sys
@@ -33,7 +34,7 @@ from repro.obs import (
 from quickstart import reduced_specs
 
 
-def main():
+def main(work_dir: Path):
     print("=== Trace the full pipeline ===")
     store = enable_tracing(clear=True)
     dataset = generate_dataset(master_seed=0, specs=reduced_specs())
@@ -50,7 +51,6 @@ def main():
         print(f"  {indent}{record.name:<22} "
               f"{record.duration_s * 1e3:8.1f} ms  {record.attributes}")
 
-    work_dir = Path(tempfile.mkdtemp(prefix="observability_tour_"))
     trace_path = work_dir / "trace.json"
     n_events = store.export_chrome(trace_path)
     print(f"wrote {trace_path} ({n_events} events) — "
@@ -95,4 +95,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 1:
+        main(Path(sys.argv[1]))
+    else:
+        with tempfile.TemporaryDirectory(prefix="observability_tour_") as tmp:
+            main(Path(tmp))

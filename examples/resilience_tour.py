@@ -37,7 +37,7 @@ from repro.stream import StreamingProfiler, checkpoint_path, replay_dataset
 from quickstart import reduced_specs
 
 
-def main():
+def main(work_dir: Path):
     print("=== Freeze a reference profile ===")
     calendar = StudyCalendar(
         np.datetime64("2023-01-09T00", "h"), np.datetime64("2023-01-10T23", "h")
@@ -70,7 +70,6 @@ def main():
                  "truncate checkpoint #2", "crash 2 serve workers"):
         print(f"  armed: {rule}")
 
-    work_dir = Path(tempfile.mkdtemp(prefix="resilience_tour_"))
     ckpt = work_dir / "stream_state"
 
     with inject(plan):
@@ -137,4 +136,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="resilience_tour_") as tmp:
+        main(Path(tmp))

@@ -73,7 +73,7 @@ def main():
         counters = snapshot["counters"]
         print(f"  requests {counters['requests']}, vectors "
               f"{counters['vectors_classified']}, batches "
-              f"{counters['batches_executed']}, cache hit rate "
+              f"{sum(snapshot['batch_size_histogram'].values())}, cache hit rate "
               f"{snapshot['derived']['cache_hit_rate']}")
 
     print("\n=== The same profile over HTTP ===")

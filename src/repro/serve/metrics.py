@@ -3,11 +3,11 @@
 :class:`ServeMetrics` is the serving counterpart of
 :class:`repro.stream.metrics.StreamMetrics`: where the stream metrics
 describe an ingestion node, these describe a query-serving node — request
-and query counts, executed micro-batches, cache hits/misses, shed
-(load-rejected) requests, and histograms of request latency, queue wait,
-batch assembly and rows per batch.  Both classes export the same
-``to_dict()`` JSON shape (``counters`` / ``derived`` sections) so one
-dashboard can scrape either node type.
+and query counts, cache hits/misses, shed (load-rejected) requests, and
+histograms of request latency, queue wait, batch assembly and rows per
+batch (whose count is the number of executed micro-batches).  Both
+classes export the same ``to_dict()`` JSON shape (``counters`` /
+``derived`` sections) so one dashboard can scrape either node type.
 
 The class is a thin facade over a :class:`repro.obs.MetricsRegistry`:
 every counter is a registry counter family (``repro_serve_<name>_total``)
@@ -65,7 +65,6 @@ class ServeMetrics:
     COUNTERS = (
         "requests",
         "vectors_classified",
-        "batches_executed",
         "cache_hits",
         "cache_misses",
         "shed_requests",
@@ -151,7 +150,6 @@ class ServeMetrics:
 
     def observe_batch(self, n_rows: int) -> None:
         """Record one executed micro-batch of ``n_rows`` stacked vectors."""
-        self._counters["batches_executed"].inc()
         self._batch_rows_hist.observe(n_rows)
 
     def observe_queue_wait(self, seconds: float) -> None:
@@ -217,11 +215,12 @@ class ServeMetrics:
         """Human-readable metrics block."""
         hit_rate = self.cache_hit_rate()
         quantiles = self.latency_quantiles_ms()
+        _, _, batches = self._batch_rows_hist.snapshot()
         lines = [
             f"requests served:   {self.count('requests')} "
             f"({self.qps():,.0f} qps)",
             f"vectors classified: {self.count('vectors_classified')}",
-            f"micro-batches:     {self.count('batches_executed')} "
+            f"micro-batches:     {batches} "
             f"(mean size {self.mean_batch_size():.1f})",
             f"latency:           p50 {quantiles['p50_ms']:.2f} ms, "
             f"p95 {quantiles['p95_ms']:.2f} ms, "

@@ -128,9 +128,12 @@ class FrozenProfile:
         """Nearest-centroid + surrogate-forest vote per feature row.
 
         The surrogate contributes its class-probability distribution and
-        the nearest centroid one full vote; the argmax decides.  Where
-        forest and centroid agree the agreement wins outright; where they
-        disagree, the forest's confidence margin settles it.
+        the nearest centroid one full vote; the argmax decides, ties to
+        the lower cluster.  The nearest centroid's score is ``1 + p`` and
+        every other is a probability ``<= 1``, so the nearest centroid
+        wins unless ``1 + p`` rounds to ``1.0`` and a lower cluster's
+        probability is exactly ``1.0``: the forest only breaks exact
+        ties.
 
         This is the object-forest reference the kernel must equal: every
         inference path (stream classify and drift, serve batches) votes

@@ -15,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.compiled import (
+    CompiledForest,
     FusedProfileKernel,
     compile_forest,
     compile_tree,
-    compiled_equivalent,
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import LEAF, DecisionTreeClassifier
 from repro.relia.errors import CheckpointCorrupt
 from repro.stream.frozen import FrozenProfile
 
+from tests.compiled_oracle import compiled_equivalent, full_vote
 from tests.conftest import build_frozen_profile
 
 
@@ -207,6 +208,116 @@ class TestFusedProfileKernel:
         assert shape["volume_queries"] is True
 
 
+
+def stump_kernel(leaf_values, forest_classes, clusters, centroids):
+    """A kernel on hand-built stumps: feature 0 <= 0 goes left, else right.
+
+    ``leaf_values`` is ``(trees, 2, classes)``: each tree's left and right
+    leaf distribution in the forest's class space.
+    """
+    leaf_values = np.asarray(leaf_values, dtype=float)
+    n_trees, _, n_classes = leaf_values.shape
+    roots = np.arange(n_trees) * 3
+    values = np.concatenate(
+        [np.zeros((n_trees, 1, n_classes)), leaf_values], axis=1
+    ).reshape(-1, n_classes)
+    forest = CompiledForest(
+        classes=np.asarray(forest_classes),
+        n_features=2,
+        feature=np.tile([0, LEAF, LEAF], n_trees),
+        threshold=np.zeros(3 * n_trees),
+        left=np.stack([roots + 1, roots + 1, roots + 2], axis=1).ravel(),
+        right=np.stack([roots + 2, roots + 1, roots + 2], axis=1).ravel(),
+        values=values,
+        roots=roots,
+        max_depth=1,
+    )
+    return FusedProfileKernel(forest, np.asarray(clusters),
+                              np.asarray(centroids, dtype=float))
+
+
+#: Three clusters, one per column, around the stumps' split at feature 0.
+CENTROIDS_3 = [[-1.0, 0.0], [0.5, 1.0], [1.0, -1.0]]
+
+
+class TestVoteScreen:
+    """The nearest-centroid screen against the vote that runs every tree."""
+
+    def test_pure_class_overrides_only_higher_columns(self):
+        # Every tree says cluster 2 with probability 1.0, so a row nearest
+        # cluster 3 ties 1.0 against 1.0 and the lower column (2) wins,
+        # while a row nearest cluster 1 keeps 1 (it is the first maximum).
+        kernel = stump_kernel([[[0, 1, 0], [0, 1, 0]]] * 3, [1, 2, 3],
+                              [1, 2, 3], CENTROIDS_3)
+        queries = np.asarray(CENTROIDS_3)
+        assert kernel.vote(queries).tolist() == [1, 2, 2]
+        assert np.array_equal(kernel.vote(queries), full_vote(kernel, queries))
+
+    def test_nearest_cluster_absent_from_forest(self):
+        centroids = CENTROIDS_3 + [[2.0, 2.0]]
+        queries = np.asarray(centroids)
+        # Cluster 4 has no forest column: its score is exactly 1.0, so a
+        # pure lower class takes the tie (the forest's last column, which
+        # a screen must not read as cluster 4's) ...
+        pure = stump_kernel([[[0, 0, 1], [0, 0, 1]]] * 2, [1, 2, 3],
+                            [1, 2, 3, 4], centroids)
+        assert pure.vote(queries).tolist() == [1, 2, 3, 3]
+        assert np.array_equal(pure.vote(queries), full_vote(pure, queries))
+        # ... and a split forest leaves the nearest centroid's vote standing.
+        split = stump_kernel([[[0.5, 0.5, 0], [0, 0.5, 0.5]]] * 2, [1, 2, 3],
+                             [1, 2, 3, 4], centroids)
+        assert split.vote(queries).tolist() == [1, 2, 3, 4]
+        assert np.array_equal(split.vote(queries), full_vote(split, queries))
+
+    def test_leaf_value_above_one_is_not_screened(self):
+        # Cluster 2 scores 2.0 against the nearest cluster 3's 1.5: a
+        # screen trusting tree 0's positive weight for 3 would answer 3.
+        kernel = stump_kernel([[[0, 2.0, 0.5], [0, 2.0, 0.5]]], [1, 2, 3],
+                              [1, 2, 3], CENTROIDS_3)
+        queries = np.asarray(CENTROIDS_3)
+        assert kernel.vote(queries).tolist() == [2, 2, 2]
+        assert np.array_equal(kernel.vote(queries), full_vote(kernel, queries))
+
+    @pytest.mark.parametrize("v_min, nearest_wins", [(1e-17, False),
+                                                     (1e-15, True)])
+    def test_tiny_leaf_weight(self, v_min, nearest_wins):
+        # 1.0 + 1e-17 rounds to 1.0, a tie that cluster 1 (pure at 1.0)
+        # takes; 1.0 + 1e-15 does not, and the nearest cluster 3 wins.
+        kernel = stump_kernel([[[1.0, 0, v_min], [1.0, 0, v_min]]], [1, 2, 3],
+                              [1, 2, 3], CENTROIDS_3)
+        queries = np.asarray(CENTROIDS_3[2:])
+        assert kernel.vote(queries).tolist() == [3 if nearest_wins else 1]
+        assert np.array_equal(kernel.vote(queries), full_vote(kernel, queries))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_stump_forests_match_full_vote(self, seed):
+        # Leaf values on a coarse grid make exact 1.0 ties common.
+        gen = np.random.default_rng(seed)
+        n_trees = int(gen.integers(1, 5))
+        leaf_values = gen.choice([0.0, 0.25, 0.5, 1.0], size=(n_trees, 2, 3))
+        clusters = np.sort(gen.choice(np.arange(1, 9), 4, replace=False))
+        forest_classes = np.sort(gen.choice(clusters, 3, replace=False))
+        centroids = gen.normal(size=(4, 2))
+        kernel = stump_kernel(leaf_values, forest_classes, clusters, centroids)
+        queries = np.vstack([centroids, gen.normal(0, 2, size=(60, 2))])
+        assert np.array_equal(kernel.vote(queries), full_vote(kernel, queries))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3, 1.0, 3.0])
+    def test_seeded_rows_match_frozen_vote(self, tiny_frozen, sigma):
+        frozen, _totals = tiny_frozen
+        kernel = frozen.kernel()
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            picks = gen.integers(0, frozen.features.shape[0], 200)
+            queries = frozen.features[picks] + gen.normal(
+                0, sigma, (200, frozen.features.shape[1]))
+            expected = frozen.vote(queries)
+            assert np.array_equal(kernel.vote(queries), expected)
+            assert np.array_equal(
+                np.concatenate([kernel.vote(row[None]) for row in queries[:20]]),
+                expected[:20],
+            )
+
 class TestFrozenProfileEmbedding:
     def test_save_embeds_compiled_arrays(self, tiny_frozen, tmp_path):
         frozen, _totals = tiny_frozen
@@ -291,6 +402,33 @@ class TestPaperScale:
         )
         assert ok, detail
 
+
+    def test_forest_runs_on_few_rows_at_paper_scale(self, full_dataset,
+                                                    full_profile, rng,
+                                                    monkeypatch):
+        # The screen decides almost every row by its nearest centroid;
+        # without it every row would reach the 100-tree vote.
+        frozen = full_profile.freeze(
+            service_totals=full_dataset.totals.sum(axis=0)
+        )
+        kernel = frozen.kernel()
+        queries = np.clip(
+            frozen.features
+            + rng.normal(0, 1e-4, size=frozen.features.shape),
+            -1.0, 1.0,
+        )
+        forest_rows = []
+        predict_proba = CompiledForest.predict_proba
+
+        def counting(forest, x):
+            forest_rows.append(len(x))
+            return predict_proba(forest, x)
+
+        monkeypatch.setattr(CompiledForest, "predict_proba", counting)
+        labels = kernel.vote(queries)
+        monkeypatch.undo()
+        assert sum(forest_rows) < 0.1 * len(queries)
+        assert np.array_equal(labels, full_vote(kernel, queries))
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -123,10 +123,10 @@ class TestBatching:
         with MicroBatcher(_echo_classify, max_batch=8, n_workers=1,
                           metrics=metrics) as batcher:
             MicroBatcher.wait(batcher.submit(np.zeros((3, 2))), timeout=5.0)
-        assert metrics.count("batches_executed") == 1
         assert metrics.batch_size_histogram() == {4: 1}
         export = metrics.registry.to_dict()
-        for family in ("repro_serve_queue_wait_seconds",
+        for family in ("repro_serve_batch_rows",
+                       "repro_serve_queue_wait_seconds",
                        "repro_serve_batch_assembly_seconds"):
             [series] = export[family]["series"]
             assert series["count"] == 1, family

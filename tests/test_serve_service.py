@@ -190,7 +190,8 @@ class TestConcurrencyCorrectness:
         assert not failures, failures[:5]
         assert completed == [queries_per_thread] * n_threads
         # The load was concurrent enough that batching actually happened.
-        assert svc.metrics.count("batches_executed") > 0
+        [batches] = svc.metrics.registry.to_dict()["repro_serve_batch_rows"]["series"]
+        assert batches["count"] > 0
         assert svc.metrics.count("shed_requests") == 0
 
 
