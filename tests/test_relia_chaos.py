@@ -1,9 +1,11 @@
 """End-to-end chaos scenario: scripted faults, verified recovery."""
 
+import io
 import json
 
 import pytest
 
+from repro.obs.logs import set_log_stream
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.relia.chaos import run_chaos_scenario
 
@@ -12,11 +14,18 @@ from repro.relia.chaos import run_chaos_scenario
 def chaos_run(tmp_path_factory):
     # The scenario drives counters on the process-wide registry; give it
     # a fresh one so assertions see only this run.
+    # The log lines are kept for the alert-transition pin below.
     previous = get_registry()
     set_registry(MetricsRegistry())
+    log = io.StringIO()
+    previous_stream = set_log_stream(log)
     try:
         work_dir = tmp_path_factory.mktemp("chaos")
-        yield run_chaos_scenario(seed=0, work_dir=str(work_dir)), work_dir
+        try:
+            report = run_chaos_scenario(seed=0, work_dir=str(work_dir))
+        finally:
+            set_log_stream(previous_stream)
+        yield report, work_dir, log.getvalue()
     finally:
         set_registry(previous)
 
@@ -97,7 +106,7 @@ def test_firing_alert_exemplar_resolves_to_trace(report):
 
 
 def test_slo_report_artifact_written(chaos_run):
-    report, work_dir = chaos_run
+    report, work_dir, _ = chaos_run
     artifact = work_dir / "chaos_slo_report.json"
     assert artifact.exists()
     payload = json.loads(artifact.read_text(encoding="utf-8"))
@@ -123,3 +132,102 @@ def test_scenario_is_seed_deterministic(report):
         set_registry(previous)
     assert replay.ok
     assert replay.injections == report.injections
+
+
+#: Every alert transition of the seed-0 scenario, in order, with the
+#: rounded burn rates its log line carries.
+PINNED_TRANSITIONS = [
+    ("alert_pending", "stream-quarantine-slow-burn", 1.0417, 1.0417),
+    ("alert_pending", "checkpoint-integrity-slow-burn", 10.0, 10.0),
+    ("alert_pending", "serve-availability-fast-burn", 500.0, 500.0),
+    ("alert_pending", "serve-availability-slow-burn", 500.0, 500.0),
+    ("alert_pending", "serve-degraded-fast-burn", 20.0, 20.0),
+    ("alert_pending", "serve-degraded-slow-burn", 20.0, 20.0),
+    ("alert_firing", "stream-quarantine-slow-burn", 1.0417, 1.0417),
+    ("alert_firing", "checkpoint-integrity-slow-burn", 10.0, 10.0),
+    ("alert_firing", "serve-availability-fast-burn", 500.0, 500.0),
+    ("alert_firing", "serve-availability-slow-burn", 500.0, 500.0),
+    ("alert_firing", "serve-degraded-fast-burn", 20.0, 20.0),
+    ("alert_firing", "serve-degraded-slow-burn", 20.0, 20.0),
+    ("alert_resolved", "serve-availability-fast-burn", 43.4783, 0.0),
+    ("alert_resolved", "serve-degraded-fast-burn", 6.9565, 5.7143),
+    ("alert_resolved", "serve-availability-slow-burn", 0.0, 0.0),
+    ("alert_resolved", "serve-degraded-slow-burn", 0.0, 0.0),
+    ("alert_resolved", "stream-quarantine-slow-burn", 0.0, 0.0),
+    ("alert_resolved", "checkpoint-integrity-slow-burn", 0.0, 0.0),
+]
+
+#: Each alert's final ``(state, fired_count, since, last_change)``.
+PINNED_ALERTS = {
+    "serve-availability-fast-burn": ("resolved", 1, None, 50.0),
+    "serve-availability-slow-burn": ("resolved", 1, None, 10000.0),
+    "serve-latency-fast-burn": ("inactive", 0, None, 0.0),
+    "serve-latency-slow-burn": ("inactive", 0, None, 0.0),
+    "serve-degraded-fast-burn": ("resolved", 1, None, 50.0),
+    "serve-degraded-slow-burn": ("resolved", 1, None, 10000.0),
+    "serve-shed-fast-burn": ("inactive", 0, None, 0.0),
+    "serve-shed-slow-burn": ("inactive", 0, None, 0.0),
+    "stream-quarantine-fast-burn": ("inactive", 0, None, 0.0),
+    "stream-quarantine-slow-burn": ("resolved", 1, None, 10000.0),
+    "checkpoint-integrity-fast-burn": ("inactive", 0, None, 0.0),
+    "checkpoint-integrity-slow-burn": ("resolved", 1, None, 10000.0),
+}
+
+#: ``(name, kind, objective, description)`` of each budget-report entry.
+PINNED_SLOS = [
+    ("serve-availability", "availability", 0.999,
+     "Requests answered without server-side error"),
+    ("serve-latency", "latency", 0.99, "Requests finishing within 250 ms"),
+    ("serve-degraded", "quality", 0.95,
+     "Requests answered at full fidelity (not the nearest-centroid "
+     "fallback)"),
+    ("serve-shed", "availability", 0.99,
+     "Requests admitted past load shedding"),
+    ("stream-quarantine", "quality", 0.99,
+     "Ingested batches folded (not quarantined)"),
+    ("checkpoint-integrity", "quality", 0.95,
+     "Checkpoint load attempts that validate without corruption"),
+]
+
+
+class TestPinnedSLOOutcome:
+    """The seed-0 scenario's SLO verdicts, exactly.
+
+    ``exemplar_value`` is a wall-clock latency and is left out.
+    """
+
+    def test_alert_transitions_in_order(self, chaos_run):
+        _, _, log = chaos_run
+        events = [json.loads(line) for line in log.splitlines()]
+        transitions = [
+            (e["event"], e["alert"], e["burn_long"], e["burn_short"])
+            for e in events if e["event"].startswith("alert_")
+        ]
+        assert transitions == PINNED_TRANSITIONS
+
+    def test_final_alert_states(self, report):
+        final = {
+            entry["name"]: (entry["state"], entry["fired_count"],
+                            entry["since"], entry["last_change"])
+            for entry in report.slo["alerts"]
+        }
+        assert final == PINNED_ALERTS
+        assert report.slo["fired"] == sorted(
+            name for name, (_, fired, _, _) in PINNED_ALERTS.items()
+            if fired
+        )
+
+    def test_budget_report(self, report):
+        assert report.slo["budget"] == {"slos": [
+            {
+                "name": name,
+                "kind": kind,
+                "description": description,
+                "objective": objective,
+                "window_s": 60.0,
+                "compliance": 1.0,
+                "error_budget_remaining": 1.0,
+                "n_samples": 6,
+            }
+            for name, kind, objective, description in PINNED_SLOS
+        ]}
