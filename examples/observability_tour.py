@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""A tour of ``repro.obs``: metrics, traces, structured logs, profiling.
+"""A tour of ``repro.obs``: metrics, traces, structured logs, stage timing.
 
 Scenario: the pipeline runs unattended — a nightly refit, a streaming
 ingester, a serving node — and an operator needs to see inside it.
 This example enables tracing, runs the full fit + SHAP pipeline, and
 then walks the four telemetry surfaces: the Chrome-loadable trace of
 the pipeline's stages, the Prometheus-text metrics registry, JSON-line
-structured logs correlated to their spans, and per-stage wall/CPU/
-memory profiles.
+structured logs correlated to their spans, and the per-stage
+``repro_stage_seconds`` series every span observes into.
 
 Run:  python examples/observability_tour.py [TRACE_DIR]
 Then: load the trace.json it writes into TRACE_DIR in chrome://tracing
@@ -26,7 +26,6 @@ from repro.obs import (
     enable_tracing,
     get_logger,
     get_registry,
-    profile_stage,
     set_log_stream,
     span,
 )
@@ -74,10 +73,15 @@ def main(work_dir: Path):
     print(f"(the first line's span_id matches span "
           f"{record.span_id!r} above)")
 
-    print("\n=== Per-stage profiling ===")
-    with profile_stage("tour.refit", trace_memory=True) as stats:
+    print("\n=== Per-stage timing: every span feeds repro_stage_seconds ===")
+    with span("tour.refit"):
         ICNProfiler(n_clusters=9).fit(dataset)
-    print(stats.summary())
+    refit = registry.stage("tour.refit")
+    print(f"tour.refit: {refit.count} run, {refit.sum * 1e3:.1f} ms wall")
+    print("\n".join(
+        line for line in registry.prometheus_text().splitlines()
+        if 'stage="tour.refit"' in line and "_bucket" not in line
+    ))
 
     print("\n=== Exception safety: failed spans stay visible ===")
     try:

@@ -23,8 +23,6 @@ from repro.analysis.stability import (
 )
 from repro.analysis.spatial import (
     SpatialBreakdown,
-    city_cluster_inventory,
-    paper_geography_checks,
     spatial_breakdown,
 )
 from repro.analysis.temporal import (
@@ -54,8 +52,6 @@ __all__ = [
     "temporal_stability",
     "SpatialBreakdown",
     "spatial_breakdown",
-    "city_cluster_inventory",
-    "paper_geography_checks",
     "TemporalHeatmap",
     "cluster_temporal_heatmap",
     "service_temporal_heatmap",

@@ -4,9 +4,9 @@ Section 5.2.2 of the paper interleaves the environment analysis with
 geography: clusters 0/4 are >92% Parisian, cluster 7 is exclusively
 non-capital, cluster 2 sits ~92% outside Paris, cluster 3 ~70% in Paris,
 cluster 6 holds the provincial stadiums while ~60% of cluster 8 is in
-Paris.  This module computes those per-cluster city mixes, the
+Paris.  This module computes those per-cluster city mixes and the
 urban/suburban/rural composition (Section 3 notes the deployments span
-all three), and per-city cluster inventories for regional planning.
+all three).
 """
 
 from __future__ import annotations
@@ -86,52 +86,3 @@ def spatial_breakdown(
         surrounding_shares=surrounding_shares,
         paris_shares=paris_shares,
     )
-
-
-def city_cluster_inventory(
-    antennas: Sequence[Antenna], labels: Sequence[int]
-) -> Dict[str, Dict[int, int]]:
-    """Per-city antenna counts by cluster (regional planning view)."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != len(antennas):
-        raise ValueError(
-            f"labels length {labels.shape[0]} != {len(antennas)} antennas"
-        )
-    inventory: Dict[str, Dict[int, int]] = {}
-    for antenna, label in zip(antennas, labels):
-        by_cluster = inventory.setdefault(antenna.city, {})
-        by_cluster[int(label)] = by_cluster.get(int(label), 0) + 1
-    return inventory
-
-
-def paper_geography_checks(
-    breakdown: SpatialBreakdown, commuter_threshold: float = 0.85
-) -> Dict[str, bool]:
-    """Evaluate the paper's Section 5.2.2 geography statements.
-
-    Returns a named dict of booleans, one per claim (with the cluster ids
-    aligned to the paper numbering):
-
-    * ``paris_commuters``: clusters 0 and 4 are predominantly Parisian
-      (paper: >92%).
-    * ``provincial_metro``: cluster 7 has no Parisian antennas.
-    * ``provincial_retail``: cluster 2 is predominantly outside Paris
-      (paper: ~92% outside).
-    * ``paris_offices``: cluster 3 is mostly Parisian (paper: ~70%).
-    * ``stadium_split``: cluster 6 is non-capital while cluster 8 is
-      majority-Paris (paper: ~60%).
-    """
-    shares = breakdown.paris_shares
-    required = {0, 2, 3, 4, 6, 7, 8}
-    missing = required - set(shares)
-    if missing:
-        raise ValueError(f"breakdown lacks clusters {sorted(missing)}")
-    return {
-        "paris_commuters": (
-            shares[0] > commuter_threshold and shares[4] > commuter_threshold
-        ),
-        "provincial_metro": shares[7] < 0.02,
-        "provincial_retail": shares[2] < 0.3,
-        "paris_offices": shares[3] > 0.55,
-        "stadium_split": shares[6] < 0.2 and shares[8] > 0.5,
-    }

@@ -244,9 +244,10 @@ def _cmd_serve(args) -> int:
     frozen, error = _serve_frozen_profile(args)
     if error is not None:
         return error
-    # Back the node's metrics onto the process registry so the SLO
-    # sources, the serve counters, and the alert gauges all share one
-    # exposition surface (ServeMetrics is private-registry by default).
+    # Back the node's metrics onto the process registry so the serve
+    # counters, the SLO and alert gauges, and the recorded history all
+    # share one exposition surface (ServeMetrics is private-registry by
+    # default).
     registry = get_registry()
     # Tracing powers the exemplar chain: request spans hand their trace
     # ids to the latency histogram buckets, and a firing alert surfaces
@@ -264,16 +265,14 @@ def _cmd_serve(args) -> int:
         max_queue_depth=args.queue_depth,
         metrics=ServeMetrics(registry=registry),
     )
-    engine = SLOEngine(
-        default_slos(registry, window_s=args.slo_window), registry=registry
-    )
+    # One scrape-driven history: every /metrics|/slo|/healthz|/query
+    # hit ticks the engine, which records one TSDB snapshot.  The SLO
+    # windows, /query and the obs-watch sparklines all read it, with
+    # no background thread.
+    tsdb = MetricsTSDB(registry)
+    engine = SLOEngine(default_slos(window_s=args.slo_window), tsdb)
     manager = AlertManager(engine, default_rules(engine), registry=registry)
     engine.tick()
-    # Scrape-driven history: every /metrics|/slo|/healthz|/query hit
-    # records one TSDB snapshot, giving /query and the obs-watch
-    # sparklines real rate/trend data with no background thread.
-    tsdb = MetricsTSDB(registry)
-    tsdb.record()
     profiler = None
     if args.profile:
         profiler = ContinuousProfiler(

@@ -14,7 +14,6 @@ from repro.core.cluster import (
     AgglomerativeClustering,
     Dendrogram,
     DendrogramNode,
-    cut_tree,
     linkage,
     pairwise_distances,
     threshold_for_k,
@@ -44,7 +43,6 @@ __all__ = [
     "Dendrogram",
     "DendrogramNode",
     "linkage",
-    "cut_tree",
     "threshold_for_k",
     "pairwise_distances",
     "KScanResult",

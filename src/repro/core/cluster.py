@@ -283,14 +283,6 @@ def linkage(features: np.ndarray, method: str = "ward") -> np.ndarray:
     return _label_merges(merges, n, method)
 
 
-def cut_tree(linkage_matrix: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Flat cluster labels obtained by undoing the top merges.
-
-    The one-k case of :meth:`Dendrogram.cuts`.
-    """
-    return Dendrogram(linkage_matrix).cuts([n_clusters])[n_clusters]
-
-
 def threshold_for_k(linkage_matrix: np.ndarray, n_clusters: int) -> float:
     """Distance threshold separating exactly ``n_clusters`` flat clusters.
 

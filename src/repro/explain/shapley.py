@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier, TreeStructure
 from repro.utils.checks import check_matrix
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
@@ -85,82 +84,6 @@ def exact_shapley(
             for f in subset:
                 mask |= 1 << f
             values[mask] = value(subset)
-    phi = np.zeros(m)
-    fact = [factorial(i) for i in range(m + 1)]
-    for i in features:
-        others = [f for f in features if f != i]
-        for size in range(m):
-            weight = fact[size] * fact[m - size - 1] / fact[m]
-            for subset in combinations(others, size):
-                mask = 0
-                for f in subset:
-                    mask |= 1 << f
-                phi[i] += weight * (values[mask | (1 << i)] - values[mask])
-    return phi
-
-
-def tree_conditional_expectation(
-    tree: TreeStructure,
-    x: np.ndarray,
-    fixed_features: Sequence[int],
-    class_index: int,
-) -> float:
-    """Expected leaf value of a tree with only some features observed.
-
-    Features in ``fixed_features`` route deterministically by ``x``; at
-    splits on any other feature the expectation branches to both children
-    weighted by training-sample proportions.  This is the *path-dependent*
-    value function that TreeSHAP attributes exactly — exposing it lets the
-    test suite validate TreeSHAP against :func:`exact_shapley` built on the
-    same conditional expectation.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    fixed = set(int(f) for f in fixed_features)
-
-    def walk(node: int) -> float:
-        if tree.is_leaf(node):
-            return float(tree.value[node, class_index])
-        feature = int(tree.feature[node])
-        left = int(tree.children_left[node])
-        right = int(tree.children_right[node])
-        if feature in fixed:
-            child = left if x[feature] <= tree.threshold[node] else right
-            return walk(child)
-        n_left = tree.n_node_samples[left]
-        n_right = tree.n_node_samples[right]
-        total = n_left + n_right
-        return (n_left * walk(left) + n_right * walk(right)) / total
-
-    return walk(0)
-
-
-def exact_tree_shapley(
-    tree_model: DecisionTreeClassifier,
-    x: np.ndarray,
-    class_index: int,
-    max_features: int = 16,
-) -> np.ndarray:
-    """Exact Shapley values under a tree's path-dependent value function.
-
-    Brute-force counterpart of TreeSHAP, used for cross-validation tests.
-    """
-    if tree_model.tree_ is None:
-        raise RuntimeError("tree is not fitted; call fit() first")
-    x = np.asarray(x, dtype=float).ravel()
-    m = x.size
-    if m > max_features:
-        raise ValueError(
-            f"exact enumeration over {m} features requires 2^{m} evaluations"
-        )
-    tree = tree_model.tree_
-    values = {}
-    features = list(range(m))
-    for size in range(m + 1):
-        for subset in combinations(features, size):
-            mask = 0
-            for f in subset:
-                mask |= 1 << f
-            values[mask] = tree_conditional_expectation(tree, x, subset, class_index)
     phi = np.zeros(m)
     fact = [factorial(i) for i in range(m + 1)]
     for i in features:

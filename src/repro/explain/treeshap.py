@@ -3,9 +3,8 @@
 Computes the path-dependent TreeSHAP values of Lundberg et al. ("From
 local explanations to global understanding with explainable AI for
 trees", Nature MI 2020) — the Shapley values of each tree's
-path-dependent conditional expectation, the value function of
-:func:`repro.explain.shapley.tree_conditional_expectation` — per leaf
-instead of by the paper's per-row recursion (its Algorithm 2), as in
+path-dependent conditional expectation — per leaf instead of by the
+paper's per-row recursion (its Algorithm 2), as in
 GPUTreeShap (Mitchell, Frank & Holmes, PeerJ CS 2022) and Fast TreeSHAP
 (Yang, arXiv:2109.09847).  Each leaf's path is compiled once into its
 unique features ``U``, each with a zero fraction ``z_j`` (the product of
@@ -135,26 +134,6 @@ def _shap(paths: _LeafPaths, x: np.ndarray) -> np.ndarray:
             a, b = bounds[f], bounds[f + 1]
             out[start:start + chunk, f] = contrib[:, a:b] @ paths.values[a:b]
     return out
-
-
-def tree_shap_values(
-    tree: TreeStructure, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """TreeSHAP attributions of one instance for one tree.
-
-    Args:
-        tree: fitted tree structure (all classes).
-        x: instance vector (length M).
-
-    Returns:
-        ``(phi, base)`` where ``phi`` has shape (M, n_classes) and ``base``
-        (n_classes,) is the tree's expected output; local accuracy gives
-        ``base + phi.sum(axis=0) == tree prediction at x`` per class.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    n_classes = tree.value.shape[1]
-    paths = _compile_paths([(tree, np.arange(n_classes))], n_classes, x.size)
-    return _shap(paths, x[None, :])[0], _expected_value(tree)
 
 
 def _expected_value(tree: TreeStructure) -> np.ndarray:

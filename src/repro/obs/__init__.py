@@ -17,10 +17,12 @@ zero-dependency layer:
   (``repro-icn obs trace-export``);
 * :func:`get_logger` — structured JSON-lines logging carrying the
   active trace/span ids;
-* :func:`profile_stage` — on-demand wall/CPU/RSS profiles of one span;
-* :class:`SLOEngine` / :class:`AlertManager` — declarative SLOs with
-  rolling-window error-budget accounting and multi-window burn-rate
-  alerting (the judging layer over the emitted signals);
+* :class:`MetricsTSDB` — the one rolling metric history, recorded once
+  per scrape, with ``rate()``/``delta()``/``quantile()`` queries behind
+  ``GET /query`` and the ``repro-icn obs watch`` sparklines;
+* :class:`SLOEngine` / :class:`AlertManager` — declarative SLOs judged
+  as window increases of that history, with error-budget accounting
+  and multi-window burn-rate alerting;
 * :func:`run_checks` / :func:`service_health_checks` — liveness and
   readiness probes behind the serve endpoint's ``GET /healthz``;
 * :class:`TraceContext` / :func:`inject` / :func:`extract` — W3C
@@ -28,10 +30,7 @@ zero-dependency layer:
   process) boundary assemble into one trace;
 * :class:`ContinuousProfiler` — always-on stack sampling with a hard
   overhead budget, served at ``GET /debug/prof`` (speedscope /
-  collapsed stacks);
-* :class:`MetricsTSDB` — rolling metric history with
-  ``rate()``/``delta()``/``quantile()`` queries behind ``GET /query``
-  and the ``repro-icn obs watch`` sparklines.
+  collapsed stacks).
 
 Quickstart::
 
@@ -77,20 +76,11 @@ from repro.obs.trace import (
 from repro.obs.logs import (
     LEVELS,
     StructLogger,
-    TokenBucket,
     get_logger,
     set_log_level,
     set_log_stream,
 )
-from repro.obs.profiling import StageStats, profile_stage
-from repro.obs.slo import (
-    SLO,
-    SLOEngine,
-    counter_source,
-    default_slos,
-    histogram_count_source,
-    histogram_under_source,
-)
+from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.obs.alerts import (
     ALERT_STATES,
     Alert,
@@ -105,7 +95,7 @@ from repro.obs.health import (
     service_health_checks,
 )
 from repro.obs.prof import ContinuousProfiler
-from repro.obs.tsdb import MetricsTSDB, QueryError, SeriesRing, sparkline
+from repro.obs.tsdb import MetricsTSDB, QueryError
 
 __all__ = [
     "ALERT_STATES",
@@ -127,14 +117,10 @@ __all__ = [
     "QueryError",
     "SLO",
     "SLOEngine",
-    "SeriesRing",
     "SpanRecord",
-    "StageStats",
     "StructLogger",
-    "TokenBucket",
     "TraceContext",
     "TraceStore",
-    "counter_source",
     "current_context",
     "current_span",
     "current_span_id",
@@ -147,16 +133,12 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_trace_store",
-    "histogram_count_source",
-    "histogram_under_source",
     "inject",
-    "profile_stage",
     "run_checks",
     "service_health_checks",
     "set_log_level",
     "set_log_stream",
     "set_registry",
     "span",
-    "sparkline",
     "tracing_enabled",
 ]

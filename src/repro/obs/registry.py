@@ -56,6 +56,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: Bucket bounds of the serve request-latency histograms (seconds);
+#: the latency SLO counts its good events at one of these bounds.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+)
+
 #: The histogram every :class:`~repro.obs.trace.span` observes into.
 STAGE_METRIC = "repro_stage_seconds"
 

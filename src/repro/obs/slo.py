@@ -2,12 +2,12 @@
 
 The metrics registry *emits* signals; this module *judges* them.  An
 :class:`SLO` declares a service-level objective — "99.9% of requests
-succeed", "99% of requests finish under 250 ms" — as a pair of
-cumulative event sources (``good`` and ``total``) read from the
-existing counter/histogram families, a target fraction, and a budget
-window.  The :class:`SLOEngine` samples those sources over time
-(``tick()``), and from the sample ring derives the three quantities an
-operator actually acts on:
+succeed", "99% of requests finish under 250 ms" — as two short sums of
+metric selectors (``good`` and ``total``) over the existing
+counter/histogram families, a target fraction, and a budget window.
+The :class:`SLOEngine` reads both sums as window increases of one
+:class:`~repro.obs.tsdb.MetricsTSDB` history, and derives the three
+quantities an operator actually acts on:
 
 * **compliance** — the good/total ratio over a rolling window;
 * **burn rate** — how many times faster than "exactly on target" the
@@ -17,18 +17,15 @@ operator actually acts on:
 * **error-budget remaining** — the fraction of the window's allowed
   bad events still unspent (negative when overspent).
 
-Event sources are plain callables returning cumulative counts, so any
-family combination works; the helpers below cover the common shapes:
+A selector is a TSDB series selector (``name`` or
+``name{label=value}``) and a leading ``-`` subtracts it, so an error
+rate is ``good=("requests_total", "-errors_total")`` and a latency SLI
+counts a histogram's bucket against its count::
 
-* :func:`counter_source` — sum of one counter family across its label
-  series;
-* :func:`difference_source` — ``total - bad`` (for error-rate SLIs);
-* :func:`histogram_count_source` / :func:`histogram_under_source` — a
-  histogram's total observation count, and the cumulative count at or
-  under a latency threshold (bucket-aligned), which together form a
-  latency SLI.
+    good=('repro_serve_request_latency_seconds_bucket{le="0.25"}',)
+    total=("repro_serve_request_latency_seconds_count",)
 
-:func:`default_slos` wires the standard set over the live serving /
+:func:`default_slos` declares the standard set over the live serving /
 streaming / resilience families — availability, p99 latency,
 degraded-answer rate, shed rate, stream quarantine rate, and
 checkpoint-failure rate — which is what ``repro-icn serve`` exposes at
@@ -42,96 +39,38 @@ synthetic clock and get bit-identical verdicts on every run.
 from __future__ import annotations
 
 import math
-import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.tsdb import SeriesRing
+from repro.obs.registry import LATENCY_BUCKETS, _format_value
+from repro.obs.tsdb import MetricsTSDB, _parse_selector
 
-__all__ = [
-    "SLO",
-    "SLOEngine",
-    "SLOSample",
-    "counter_source",
-    "default_slos",
-    "difference_source",
-    "histogram_count_source",
-    "histogram_under_source",
-]
+__all__ = ["SLO", "SLOEngine", "default_slos"]
 
-#: An event source: returns a cumulative (non-decreasing) event count.
-EventSource = Callable[[], float]
+#: One parsed selector term: ``(sign, series name, label filter)``.
+_Term = Tuple[float, str, Dict[str, str]]
+
+#: An SLO side as declared: one selector, or several to sum.
+_Selectors = Union[str, Sequence[str]]
+
+#: The request-latency histogram the serve SLOs judge.
+_LATENCY = "repro_serve_request_latency_seconds"
 
 
-def counter_source(name: str,
-                   registry: Optional[MetricsRegistry] = None) -> EventSource:
-    """Cumulative sum of one counter family across all its label series.
-
-    Missing families read as 0.0, so SLOs can be declared before the
-    component that owns the family has started.
-    """
-    def read() -> float:
-        reg = registry if registry is not None else get_registry()
-        family = reg.get(name)
-        if family is None:
-            return 0.0
-        return float(sum(child.value for _, child in family.series()))
-
-    return read
-
-
-def difference_source(total: EventSource, bad: EventSource) -> EventSource:
-    """``good = total - bad`` for error-rate SLIs (clamped at zero)."""
-    def read() -> float:
-        return max(0.0, float(total()) - float(bad()))
-
-    return read
-
-
-def histogram_count_source(
-    name: str, registry: Optional[MetricsRegistry] = None
-) -> EventSource:
-    """Total observation count of one histogram family (all series)."""
-    def read() -> float:
-        reg = registry if registry is not None else get_registry()
-        family = reg.get(name)
-        if family is None or family.kind != "histogram":
-            return 0.0
-        return float(sum(child.count for _, child in family.series()))
-
-    return read
-
-
-def histogram_under_source(
-    name: str,
-    threshold: float,
-    registry: Optional[MetricsRegistry] = None,
-) -> EventSource:
-    """Cumulative observations at or under ``threshold`` seconds.
-
-    The threshold is aligned to the smallest histogram bucket bound that
-    is >= ``threshold`` (cumulative bucket counts only exist at bucket
-    bounds); declare latency SLOs on bucket boundaries to avoid
-    surprise.  Missing families read as 0.0.
-    """
-    threshold = float(threshold)
-
-    def read() -> float:
-        reg = registry if registry is not None else get_registry()
-        family = reg.get(name)
-        if family is None or family.kind != "histogram":
-            return 0.0
-        good = 0.0
-        for _, child in family.series():
-            for bound, cumulative in child.cumulative_buckets():
-                if bound >= threshold:
-                    good += cumulative
-                    break
-        return good
-
-    return read
+def _parse_terms(selectors: Sequence[str]) -> List[_Term]:
+    """Parse ``[-]name{labels}`` selectors (no ``[Ns]`` range)."""
+    terms: List[_Term] = []
+    for text in selectors:
+        body = text.strip()
+        sign = -1.0 if body.startswith("-") else 1.0
+        name, labels, range_s = _parse_selector(body.lstrip("-"))
+        if range_s is not None:
+            raise ValueError(
+                f"SLO selector {text!r} takes no range; the window is the "
+                f"SLO's"
+            )
+        terms.append((sign, name, labels))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -144,8 +83,9 @@ class SLO:
         objective: target good/total fraction in (0, 1), e.g. 0.999.
         window_s: error-budget window in seconds (the period the budget
             is spread over).
-        good: cumulative count of good events.
-        total: cumulative count of all events.
+        good: selectors whose signed sum counts good events (a single
+            string is one selector).
+        total: selectors whose signed sum counts all events.
         kind: informational category (``availability`` / ``latency`` /
             ``quality``) carried into reports.
         description: human-readable one-liner.
@@ -157,8 +97,8 @@ class SLO:
     name: str
     objective: float
     window_s: float
-    good: EventSource
-    total: EventSource
+    good: _Selectors
+    total: _Selectors
     kind: str = "availability"
     description: str = ""
     exemplar_metric: Optional[str] = None
@@ -172,80 +112,54 @@ class SLO:
             raise ValueError(
                 f"window_s must be positive, got {self.window_s}"
             )
-
-
-@dataclass(frozen=True)
-class SLOSample:
-    """One (time, good, total) reading of an SLO's event sources."""
-
-    t: float
-    good: float
-    total: float
-
-
-@dataclass
-class _Track:
-    """Sample history of one SLO (engine-internal).
-
-    Two parallel :class:`~repro.obs.tsdb.SeriesRing` buffers — the same
-    bounded-ring primitive the metrics TSDB records into — appended
-    together under the engine lock, so the good/total readings at any
-    index share one timestamp.
-    """
-
-    slo: SLO
-    good: SeriesRing
-    total: SeriesRing
+        for side in ("good", "total"):
+            value = getattr(self, side)
+            selectors = (value,) if isinstance(value, str) else tuple(value)
+            _parse_terms(selectors)  # malformed selectors fail here
+            object.__setattr__(self, side, selectors)
 
 
 class SLOEngine:
-    """Samples SLO event sources and derives compliance / burn / budget.
+    """Judges SLOs over one metric history: compliance / burn / budget.
 
     Call :meth:`tick` periodically (the serve HTTP layer ticks on every
-    ``/metrics`` and ``/slo`` scrape; scripted scenarios tick with
-    explicit synthetic timestamps).  Between two samples the engine
-    interpolates nothing — window queries anchor on the latest sample at
-    or before the window start (or the oldest sample available), which
-    makes every derived value a pure function of the recorded samples.
+    scrape; scripted scenarios tick with explicit synthetic timestamps).
+    A tick records the TSDB once and refreshes the exported gauges.
+    Window queries anchor each series on its latest sample at or before
+    the window start (or its oldest sample), so every derived value is a
+    pure function of the recorded samples.
 
     Args:
         slos: objectives to track.
-        registry: registry for the exported ``repro_slo_*`` gauges
-            (process-wide by default).
-        clock: time source used when ``tick()``/queries get no explicit
-            ``now`` (monotonic by default).
-        max_samples: per-SLO ring capacity; at one scrape per 15 s the
-            default holds ~3.5 days — enough for a 3-day burn window.
+        tsdb: the history to record and read; the ``repro_slo_*``
+            gauges go to its registry, and its clock is the default
+            ``now``.
+        max_samples: ring depth of the series the SLOs read; at one
+            scrape per 15 s the default holds ~3.5 days — enough for a
+            3-day burn window.  Every other series keeps the TSDB's own
+            capacity.
     """
 
     def __init__(
         self,
         slos: Sequence[SLO],
-        registry: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
+        tsdb: MetricsTSDB,
         max_samples: int = 20000,
     ) -> None:
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
-        self.registry = registry if registry is not None else get_registry()
-        self._clock = clock
-        self._lock = threading.Lock()
-        # Serializes whole ticks (clock read + source reads + appends);
-        # `_lock` alone only protects individual ring operations, which
-        # is not enough when concurrent scrape threads each read the
-        # clock and then race to append (the loser would be out of
-        # order).  Separate from `_lock` because tick() calls
-        # compliance()/budget_remaining(), which take `_lock` themselves.
-        self._tick_lock = threading.Lock()
+        self.tsdb = tsdb
+        self.registry = tsdb.registry
         self.max_samples = int(max_samples)
-        capacity = max(2, self.max_samples)
-        self._tracks: Dict[str, _Track] = {
-            slo.name: _Track(
-                slo, good=SeriesRing(capacity), total=SeriesRing(capacity)
-            )
+        self._slos: Dict[str, SLO] = {slo.name: slo for slo in slos}
+        self._terms: Dict[str, Tuple[List[_Term], List[_Term]]] = {
+            slo.name: (_parse_terms(slo.good), _parse_terms(slo.total))
             for slo in slos
         }
+        for good, total in self._terms.values():
+            for _, series, labels in good + total:
+                tsdb.retain(series, labels, self.max_samples)
         objective_gauge = self.registry.gauge(
             "repro_slo_objective", "Declared SLO target fraction",
             labelnames=("slo",),
@@ -267,90 +181,64 @@ class SLOEngine:
     @property
     def slos(self) -> List[SLO]:
         """The tracked objectives, in declaration order."""
-        return [track.slo for track in self._tracks.values()]
+        return list(self._slos.values())
 
     def get(self, name: str) -> SLO:
         """The SLO registered under ``name`` (KeyError when unknown)."""
-        return self._tracks[name].slo
+        return self._slos[name]
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
 
-    def tick(self, now: Optional[float] = None) -> Dict[str, SLOSample]:
-        """Read every SLO's sources once; returns the new samples.
+    def tick(self, now: Optional[float] = None) -> float:
+        """Record the history once and refresh the gauges; returns ``now``.
 
-        Also refreshes the exported compliance / budget gauges, so any
-        scrape that triggers a tick sees self-consistent SLO series.
-
-        Ticks are serialized on an engine-level lock and the implicit
-        clock is read under it, so concurrent scrape-driven ticks (a
-        threaded HTTP server ticks on every ``/metrics``, ``/slo``, and
-        ``/healthz`` request) always append in timeline order — no
-        scrape can fail another.  An implicit tick that still lands
-        behind the newest sample (the clock racing an explicit-``now``
-        caller) clamps to that sample's time instead of erroring.  An
-        *explicit* out-of-order ``now`` is a caller bug and raises —
-        before any track is touched, so a rejected tick never leaves a
-        partial update behind.
+        An explicit ``now`` behind the last record raises
+        ``ValueError`` (:meth:`MetricsTSDB.record`) before anything
+        changes.  An implicit tick the TSDB coalesces — too soon after
+        the last record, or behind it — judges the gauges at the last
+        record, so concurrent scrapes never fail one another.
         """
-        with self._tick_lock:
-            t = float(now) if now is not None else self._clock()
-            with self._lock:
-                latest = [
-                    track.good.latest() for track in self._tracks.values()
-                ]
-                newest = max(
-                    (sample[0] for sample in latest if sample is not None),
-                    default=None,
-                )
-            if newest is not None and t < newest:
-                if now is not None:
-                    raise ValueError(
-                        f"tick time {t} precedes last sample {newest}"
-                    )
-                t = newest
-            fresh: Dict[str, SLOSample] = {}
-            for name, track in self._tracks.items():
-                sample = SLOSample(
-                    t=t, good=float(track.slo.good()),
-                    total=float(track.slo.total()),
-                )
-                with self._lock:
-                    track.good.append(t, sample.good)
-                    track.total.append(t, sample.total)
-                fresh[name] = sample
-                self._compliance_gauge.labels(slo=name).set(
-                    self.compliance(name, track.slo.window_s, now=t)
-                )
-                self._budget_gauge.labels(slo=name).set(
-                    self.budget_remaining(name, now=t)
-                )
-            return fresh
+        self.tsdb.record(now)
+        t = float(now) if now is not None else self.tsdb.last_record
+        assert t is not None
+        for name, slo in self._slos.items():
+            self._compliance_gauge.labels(slo=name).set(
+                self.compliance(name, slo.window_s, now=t)
+            )
+            self._budget_gauge.labels(slo=name).set(
+                self.budget_remaining(name, now=t)
+            )
+        return t
+
+    def _window_sum(self, terms: List[_Term], window_s: float,
+                    t: float) -> float:
+        """Increase of a signed selector sum over the trailing window.
+
+        The sum is read at the window's anchor and at its end (each
+        series' :meth:`~repro.obs.tsdb.SeriesRing.bounds`), each
+        reading clamped at 0, and the increase clamped at 0: a
+        ``total - bad`` sum whose ``bad`` outruns ``total`` reads 0.
+        """
+        anchor = end = 0.0
+        for sign, series, labels in terms:
+            for _, ring in self.tsdb.select(series, labels):
+                first, last = ring.bounds(window_s, now=t)
+                if first is not None and last is not None:
+                    anchor += sign * first[1]
+                    end += sign * last[1]
+        return max(0.0, max(0.0, end) - max(0.0, anchor))
 
     def _window_delta(self, name: str, window_s: float,
                       now: Optional[float]) -> Tuple[float, float]:
         """``(good, total)`` event deltas over the trailing window."""
-        track = self._tracks[name]
-        t = float(now) if now is not None else self._clock()
-        with self._lock:
-            # SeriesRing.bounds anchors on the latest sample at or
-            # before the window start (the oldest sample for short
-            # histories, so early storms still burn) and ends on the
-            # latest sample at or before `now`; both rings share
-            # timestamps, so the two windows are aligned.
-            good_anchor, good_end = track.good.bounds(
-                float(window_s), now=t
-            )
-            total_anchor, total_end = track.total.bounds(
-                float(window_s), now=t
-            )
-        if good_anchor is None or good_end is None:
-            return 0.0, 0.0
-        assert total_anchor is not None and total_end is not None
-        d_good = max(0.0, good_end[1] - good_anchor[1])
-        d_total = max(0.0, total_end[1] - total_anchor[1])
-        return d_good, d_total
+        t = float(now) if now is not None else self.tsdb.clock()
+        good, total = (
+            self._window_sum(terms, float(window_s), t)
+            for terms in self._terms[name]
+        )
+        return good, total
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -359,7 +247,7 @@ class SLOEngine:
     def compliance(self, name: str, window_s: Optional[float] = None,
                    now: Optional[float] = None) -> float:
         """Good fraction over the trailing window (1.0 with no events)."""
-        slo = self._tracks[name].slo
+        slo = self._slos[name]
         d_good, d_total = self._window_delta(
             name, window_s if window_s is not None else slo.window_s, now
         )
@@ -374,7 +262,7 @@ class SLOEngine:
         1.0 means "errors arriving exactly at the rate the objective
         allows"; N means the budget is being spent N times too fast.
         """
-        slo = self._tracks[name].slo
+        slo = self._slos[name]
         error_fraction = 1.0 - self.compliance(name, window_s, now)
         allowed = 1.0 - slo.objective
         if allowed <= 0:
@@ -389,7 +277,7 @@ class SLOEngine:
         when overspent.  With no traffic in the window the budget is
         untouched (1.0).
         """
-        slo = self._tracks[name].slo
+        slo = self._slos[name]
         d_good, d_total = self._window_delta(name, slo.window_s, now)
         if d_total <= 0:
             return 1.0
@@ -400,9 +288,9 @@ class SLOEngine:
         return 1.0 - bad / allowed
 
     def n_samples(self, name: str) -> int:
-        """Recorded samples for one SLO."""
-        with self._lock:
-            return len(self._tracks[name].good)
+        """Records behind one SLO's windows (a series not yet seen reads 0)."""
+        self._slos[name]  # KeyError for an unknown SLO
+        return min(self.tsdb.records, max(2, self.max_samples))
 
     # ------------------------------------------------------------------
     # Reporting
@@ -411,10 +299,9 @@ class SLOEngine:
     def report(self, now: Optional[float] = None,
                burn_windows: Sequence[float] = ()) -> Dict[str, object]:
         """JSON-serializable budget report (the ``GET /slo`` body)."""
-        t = float(now) if now is not None else self._clock()
+        t = float(now) if now is not None else self.tsdb.clock()
         slos = []
-        for name, track in self._tracks.items():
-            slo = track.slo
+        for name, slo in self._slos.items():
             entry: Dict[str, object] = {
                 "name": name,
                 "kind": slo.kind,
@@ -434,104 +321,57 @@ class SLOEngine:
         return {"slos": slos}
 
 
-def default_slos(
-    registry: Optional[MetricsRegistry] = None,
-    latency_threshold_s: float = 0.25,
-    window_s: float = 3600.0,
-) -> List[SLO]:
+def default_slos(latency_threshold_s: float = 0.25,
+                 window_s: float = 3600.0) -> List[SLO]:
     """The standard objective set over the live metric families.
 
     Covers the serving path (availability, p99-style latency, degraded
     answers, shed rate), the streaming path (quarantine rate), and the
     checkpoint path (corruption rate).  ``window_s`` defaults to one
     hour — long enough to smooth scrape noise, short enough that a
-    replay scenario exercises a full budget cycle.
+    replay scenario exercises a full budget cycle.  The latency
+    threshold snaps up to the smallest request-latency bucket bound at
+    or above it (cumulative counts exist only at bucket bounds).
     """
-    reg = registry if registry is not None else get_registry()
-    requests = counter_source("repro_serve_requests_total", reg)
-    errors = counter_source("repro_serve_errors_total", reg)
-    shed = counter_source("repro_serve_shed_requests_total", reg)
-    degraded = counter_source("repro_degraded_answers_total", reg)
-    quarantined = counter_source("repro_quarantined_batches_total", reg)
-    folded = counter_source("repro_stream_batches_folded_total", reg)
-    ckpt_loads = counter_source("repro_checkpoint_loads_total", reg)
-    ckpt_corrupt = counter_source("repro_checkpoint_corruptions_total", reg)
-
-    def _sum(a: EventSource, b: EventSource) -> EventSource:
-        return lambda: float(a()) + float(b())
-
-    latency_total = histogram_count_source(
-        "repro_serve_request_latency_seconds", reg
-    )
-    latency_good = histogram_under_source(
-        "repro_serve_request_latency_seconds", latency_threshold_s, reg
-    )
+    threshold = float(latency_threshold_s)
+    bound = next((b for b in LATENCY_BUCKETS if b >= threshold), math.inf)
+    requests = "repro_serve_requests_total"
+    folded = "repro_stream_batches_folded_total"
+    loads = "repro_checkpoint_loads_total"
+    # (name, objective, kind, good, total, exemplar_metric, description)
+    table: List[Tuple[str, float, str, _Selectors, _Selectors,
+                      Optional[str], str]] = [
+        ("serve-availability", 0.999, "availability",
+         (requests, "-repro_serve_errors_total"), requests, _LATENCY,
+         "Requests answered without server-side error"),
+        ("serve-latency", 0.99, "latency",
+         f'{_LATENCY}_bucket{{le="{_format_value(bound)}"}}',
+         f"{_LATENCY}_count", _LATENCY,
+         f"Requests finishing within {threshold * 1e3:.0f} ms"),
+        ("serve-degraded", 0.95, "quality",
+         (requests, "-repro_degraded_answers_total"), requests, _LATENCY,
+         "Requests answered at full fidelity (not the nearest-centroid "
+         "fallback)"),
+        ("serve-shed", 0.99, "availability",
+         requests, (requests, "repro_serve_shed_requests_total"), None,
+         "Requests admitted past load shedding"),
+        ("stream-quarantine", 0.99, "quality",
+         folded, (folded, "repro_quarantined_batches_total"), None,
+         "Ingested batches folded (not quarantined)"),
+        # Per load *attempt*, not per save: corruptions increment on
+        # every failed load, so a retry loop hammering one corrupt file
+        # would otherwise push corruptions past saves and clamp
+        # compliance to 0% off a single bad checkpoint.  Each retry adds
+        # one attempt and one corruption, so the ratio stays an honest
+        # failure rate.
+        ("checkpoint-integrity", 0.95, "quality",
+         (loads, "-repro_checkpoint_corruptions_total"), loads, None,
+         "Checkpoint load attempts that validate without corruption"),
+    ]
     return [
-        SLO(
-            name="serve-availability",
-            objective=0.999,
-            window_s=window_s,
-            good=difference_source(requests, errors),
-            total=requests,
-            kind="availability",
-            description="Requests answered without server-side error",
-            exemplar_metric="repro_serve_request_latency_seconds",
-        ),
-        SLO(
-            name="serve-latency",
-            objective=0.99,
-            window_s=window_s,
-            good=latency_good,
-            total=latency_total,
-            kind="latency",
-            description=(
-                f"Requests finishing within {latency_threshold_s * 1e3:.0f} ms"
-            ),
-            exemplar_metric="repro_serve_request_latency_seconds",
-        ),
-        SLO(
-            name="serve-degraded",
-            objective=0.95,
-            window_s=window_s,
-            good=difference_source(requests, degraded),
-            total=requests,
-            kind="quality",
-            description="Requests answered at full fidelity (not the "
-                        "nearest-centroid fallback)",
-            exemplar_metric="repro_serve_request_latency_seconds",
-        ),
-        SLO(
-            name="serve-shed",
-            objective=0.99,
-            window_s=window_s,
-            good=_sum(requests, lambda: 0.0),
-            total=_sum(requests, shed),
-            kind="availability",
-            description="Requests admitted past load shedding",
-        ),
-        SLO(
-            name="stream-quarantine",
-            objective=0.99,
-            window_s=window_s,
-            good=folded,
-            total=_sum(folded, quarantined),
-            kind="quality",
-            description="Ingested batches folded (not quarantined)",
-        ),
-        SLO(
-            name="checkpoint-integrity",
-            objective=0.95,
-            window_s=window_s,
-            # Per load *attempt*, not per save: corruptions increment on
-            # every failed load, so a retry loop hammering one corrupt
-            # file would otherwise push corruptions past saves and clamp
-            # compliance to 0% off a single bad checkpoint.  Each retry
-            # now adds one attempt and one corruption, so the ratio
-            # stays an honest failure rate.
-            good=difference_source(ckpt_loads, ckpt_corrupt),
-            total=ckpt_loads,
-            kind="quality",
-            description="Checkpoint load attempts that validate without "
-                        "corruption",
-        ),
+        SLO(name=name, objective=objective, window_s=window_s, good=good,
+            total=total, kind=kind, description=description,
+            exemplar_metric=exemplar)
+        for name, objective, kind, good, total, exemplar, description
+        in table
     ]

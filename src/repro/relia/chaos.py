@@ -66,6 +66,7 @@ from repro.obs import (
 from repro.obs.alerts import AlertManager, default_rules
 from repro.obs.prof import ContinuousProfiler
 from repro.obs.slo import SLOEngine, default_slos
+from repro.obs.tsdb import MetricsTSDB
 from repro.relia.degrade import (
     ResilientStreamingProfiler,
     StreamDegradePolicy,
@@ -242,8 +243,7 @@ def _run_scenario(
     # of the run.  Windows are scaled 60x down from production (1h -> 60s
     # budget window; fast pair 60s/5s, slow pair 4320s/360s).
     engine = SLOEngine(
-        default_slos(get_registry(), window_s=60.0),
-        registry=get_registry(),
+        default_slos(window_s=60.0), MetricsTSDB(get_registry())
     )
     alerts = AlertManager(
         engine, default_rules(engine, time_scale=1.0 / 60.0),

@@ -35,13 +35,13 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.obs.registry import MetricsRegistry, _format_value, bucket_quantile
-from repro.obs.trace import current_trace_id
-
-#: Bucket bounds of the exposition latency histograms (seconds).
-LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+from repro.obs.registry import (
+    LATENCY_BUCKETS,
+    MetricsRegistry,
+    _format_value,
+    bucket_quantile,
 )
+from repro.obs.trace import current_trace_id
 
 #: Bucket bounds of the rows-per-batch exposition histogram.
 BATCH_ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)

@@ -2,7 +2,6 @@
 
 from repro.viz.image import (
     matrix_to_image,
-    read_ppm,
     save_rsca_figure,
     save_temporal_figure,
     write_ppm,
@@ -29,7 +28,6 @@ __all__ = [
     "render_scan",
     "matrix_to_image",
     "write_ppm",
-    "read_ppm",
     "save_rsca_figure",
     "save_temporal_figure",
 ]

@@ -64,20 +64,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         handle.write(image.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
-    """Read back a binary PPM written by :func:`write_ppm`."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P6"):
-        raise ValueError("not a binary PPM (P6) file")
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4:
-        raise ValueError("truncated PPM header")
-    width, height = (int(x) for x in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8,
-                           count=width * height * 3)
-    return pixels.reshape(height, width, 3)
-
-
 def matrix_to_image(
     matrix: np.ndarray,
     colormap: str = "sequential",

@@ -105,3 +105,23 @@ def build_frozen_profile(n_antennas=120, n_services=12, n_clusters=4,
 def tiny_frozen():
     """Session-shared small frozen profile plus its raw totals."""
     return build_frozen_profile()
+
+
+class SLOCounts:
+    """The good/total counters a test SLO reads, set to cumulative values.
+
+    ``update(good=G, total=T)`` raises the two registry counters to ``G``
+    and ``T``; the SLO declares ``good=SLOCounts.GOOD`` and
+    ``total=SLOCounts.TOTAL``.
+    """
+
+    GOOD = "slo_good_total"
+    TOTAL = "slo_events_total"
+
+    def __init__(self, registry) -> None:
+        self._good = registry.counter(self.GOOD, "good events")
+        self._total = registry.counter(self.TOTAL, "all events")
+
+    def update(self, good: float, total: float) -> None:
+        self._good.inc(good - self._good.value)
+        self._total.inc(total - self._total.value)

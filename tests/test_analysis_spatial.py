@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.spatial import (
-    city_cluster_inventory,
-    paper_geography_checks,
-    spatial_breakdown,
-)
+from repro.analysis.spatial import SpatialBreakdown, spatial_breakdown
 from repro.datagen.antennas import Antenna
 from repro.datagen.archetypes import Archetype
 from repro.datagen.environments import EnvironmentType, Surrounding
@@ -20,6 +16,38 @@ def make_antenna(i, city, is_paris, surrounding=Surrounding.URBAN):
         surrounding=surrounding, lat=48.0, lon=2.0,
         archetype=Archetype.GENERAL_USE,
     )
+
+
+def paper_geography_checks(breakdown: SpatialBreakdown,
+                           commuter_threshold: float = 0.85):
+    """Evaluate the paper's Section 5.2.2 geography statements.
+
+    Returns a named dict of booleans, one per claim (with the cluster ids
+    aligned to the paper numbering):
+
+    * ``paris_commuters``: clusters 0 and 4 are predominantly Parisian
+      (paper: >92%).
+    * ``provincial_metro``: cluster 7 has no Parisian antennas.
+    * ``provincial_retail``: cluster 2 is predominantly outside Paris
+      (paper: ~92% outside).
+    * ``paris_offices``: cluster 3 is mostly Parisian (paper: ~70%).
+    * ``stadium_split``: cluster 6 is non-capital while cluster 8 is
+      majority-Paris (paper: ~60%).
+    """
+    shares = breakdown.paris_shares
+    required = {0, 2, 3, 4, 6, 7, 8}
+    missing = required - set(shares)
+    if missing:
+        raise ValueError(f"breakdown lacks clusters {sorted(missing)}")
+    return {
+        "paris_commuters": (
+            shares[0] > commuter_threshold and shares[4] > commuter_threshold
+        ),
+        "provincial_metro": shares[7] < 0.02,
+        "provincial_retail": shares[2] < 0.3,
+        "paris_offices": shares[3] > 0.55,
+        "stadium_split": shares[6] < 0.2 and shares[8] > 0.5,
+    }
 
 
 class TestSpatialBreakdown:
@@ -75,22 +103,6 @@ class TestSpatialBreakdown:
         assert set(breakdown.city_shares[7]) <= {
             "Lille", "Lyon", "Rennes", "Toulouse"
         }
-
-
-class TestInventory:
-    def test_counts(self):
-        antennas = [
-            make_antenna(0, "Paris", True),
-            make_antenna(1, "Paris", True),
-            make_antenna(2, "Lyon", False),
-        ]
-        inventory = city_cluster_inventory(antennas, [0, 1, 0])
-        assert inventory["Paris"] == {0: 1, 1: 1}
-        assert inventory["Lyon"] == {0: 1}
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="labels length"):
-            city_cluster_inventory([make_antenna(0, "Paris", True)], [])
 
 
 class TestGeographyChecks:

@@ -14,7 +14,6 @@ from repro.core.cluster import (
     AgglomerativeClustering,
     Dendrogram,
     DendrogramNode,
-    cut_tree,
     linkage,
     pairwise_distances,
     threshold_for_k,
@@ -90,7 +89,7 @@ class TestLinkageVsScipy:
         ours = linkage(x, method)
         reference = scipy_hierarchy.linkage(x, method=method)
         for k in (2, 3, 5, 8):
-            a = cut_tree(ours, k)
+            a = Dendrogram(ours).cut(k)
             b = scipy_hierarchy.fcluster(reference, k, criterion="maxclust")
             # Same partition up to label permutation.
             pairs = set(zip(a.tolist(), b.tolist()))
@@ -104,7 +103,7 @@ class TestLinkageVsScipy:
         np.testing.assert_allclose(ours[:, 2], reference[:, 2], rtol=1e-8)
         np.testing.assert_array_equal(ours[:, 3], reference[:, 3])
         for k in (9, 6):
-            a = cut_tree(ours, k)
+            a = Dendrogram(ours).cut(k)
             b = scipy_hierarchy.fcluster(reference, k, criterion="maxclust")
             # Same partition up to label permutation.
             assert np.unique(a).size == np.unique(b).size == k
@@ -129,14 +128,14 @@ class TestLinkageProperties:
 
     def test_recovers_well_separated_blobs(self, rng):
         x, truth = random_blobs(rng, n_blobs=4, per_blob=12)
-        labels = cut_tree(linkage(x, "ward"), 4)
+        labels = Dendrogram(linkage(x, "ward")).cut(4)
         # Perfect recovery up to permutation.
         pairs = set(zip(labels.tolist(), truth.tolist()))
         assert len(pairs) == 4
 
     def test_duplicate_points_supported(self):
         x = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)
-        labels = cut_tree(linkage(x, "ward"), 2)
+        labels = Dendrogram(linkage(x, "ward")).cut(2)
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
@@ -209,28 +208,28 @@ class TestOverflow:
 class TestCutTree:
     def test_k_equals_n(self, rng):
         x = rng.normal(size=(8, 2))
-        labels = cut_tree(linkage(x, "ward"), 8)
+        labels = Dendrogram(linkage(x, "ward")).cut(8)
         assert sorted(labels.tolist()) == list(range(8))
 
     def test_k_equals_one(self, rng):
         x = rng.normal(size=(8, 2))
-        labels = cut_tree(linkage(x, "ward"), 1)
+        labels = Dendrogram(linkage(x, "ward")).cut(1)
         assert set(labels.tolist()) == {0}
 
     def test_out_of_range_rejected(self, rng):
         z = linkage(rng.normal(size=(8, 2)), "ward")
         with pytest.raises(ValueError, match="n_clusters"):
-            cut_tree(z, 9)
+            Dendrogram(z).cut(9)
         with pytest.raises(ValueError, match="n_clusters"):
-            cut_tree(z, 0)
+            Dendrogram(z).cut(0)
 
     def test_cuts_nest(self, rng):
         # Every k-cluster partition refines the (k-1)-cluster partition.
         x = rng.normal(size=(40, 4))
         z = linkage(x, "ward")
         for k in range(2, 10):
-            fine = cut_tree(z, k)
-            coarse = cut_tree(z, k - 1)
+            fine = Dendrogram(z).cut(k)
+            coarse = Dendrogram(z).cut(k - 1)
             for label in np.unique(fine):
                 members = coarse[fine == label]
                 assert np.unique(members).size == 1
@@ -259,8 +258,8 @@ class TestCutsMatchOracle:
     def test_cut_tree_is_the_one_k_case(self, rng):
         z = linkage(rng.normal(size=(30, 3)), "average")
         cuts = Dendrogram(z).cuts([7, 2])
-        assert np.array_equal(cut_tree(z, 7), cuts[7])
-        assert np.array_equal(cut_tree(z, 2), cuts[2])
+        assert np.array_equal(Dendrogram(z).cut(7), cuts[7])
+        assert np.array_equal(Dendrogram(z).cut(2), cuts[2])
 
     def test_out_of_range_k_rejected(self, rng):
         dendrogram = Dendrogram(linkage(rng.normal(size=(8, 2)), "ward"))
@@ -344,7 +343,7 @@ class TestDendrogram:
         monkeypatch.setattr(cluster_module, "DendrogramNode", CountingNode)
         x = rng.normal(size=(40, 3))
         model = AgglomerativeClustering(n_clusters=4).fit(x)
-        cut_tree(model.linkage_matrix_, 5)
+        Dendrogram(model.linkage_matrix_).cut(5)
         model.dendrogram_.cuts(range(2, 9))
         assert built == []
         assert sorted(model.dendrogram_.root.leaves()) == list(range(40))

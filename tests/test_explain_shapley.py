@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.explain.shapley import (
-    coalition_value_fn,
-    exact_shapley,
+from repro.explain.shapley import coalition_value_fn, exact_shapley
+from repro.ml.tree import DecisionTreeClassifier
+from tests.treeshap_oracle import (
     exact_tree_shapley,
     tree_conditional_expectation,
 )
-from repro.ml.tree import DecisionTreeClassifier
 
 
 class TestCoalitionValue:

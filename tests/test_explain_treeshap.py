@@ -5,17 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.explain.shapley import exact_tree_shapley
-from repro.explain.treeshap import TreeExplainer, tree_shap_values
+from repro.explain.treeshap import TreeExplainer
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 from tests.treeshap_oracle import (
+    exact_tree_shapley,
     recursive_shap_values,
     recursive_tree_shap_values,
 )
 
 #: Per-leaf and recursive TreeSHAP sum the same terms in another order.
 ORACLE_TOL = 1e-12
+
+
+def tree_shap_values(tree_model, x):
+    """``(phi, base)`` of one row for one tree: phi is (M, n_classes)."""
+    explainer = TreeExplainer(tree_model)
+    phi = explainer.shap_values(np.asarray(x, dtype=float)[None, :])[0]
+    return phi, explainer.expected_value
 
 
 @pytest.fixture()
@@ -41,7 +48,7 @@ class TestTreeShapValues:
     def test_matches_exact_enumeration(self, fitted_tree):
         tree_model, x = fitted_tree
         for row in range(8):
-            phi, _ = tree_shap_values(tree_model.tree_, x[row])
+            phi, _ = tree_shap_values(tree_model, x[row])
             for class_index in range(len(tree_model.classes_)):
                 exact = exact_tree_shapley(tree_model, x[row], class_index)
                 np.testing.assert_allclose(
@@ -52,7 +59,7 @@ class TestTreeShapValues:
     def test_local_accuracy(self, fitted_tree):
         tree_model, x = fitted_tree
         for row in range(5):
-            phi, base = tree_shap_values(tree_model.tree_, x[row])
+            phi, base = tree_shap_values(tree_model, x[row])
             prediction = tree_model.predict_proba(x[row:row + 1])[0]
             np.testing.assert_allclose(
                 base + phi.sum(axis=0), prediction, atol=1e-10
@@ -67,14 +74,14 @@ class TestTreeShapValues:
         splits = tree_model.tree_.feature[tree_model.tree_.feature >= 0]
         assert np.sum(splits == 0) >= 2
         for row in range(6):
-            phi, _ = tree_shap_values(tree_model.tree_, x[row])
+            phi, _ = tree_shap_values(tree_model, x[row])
             exact = exact_tree_shapley(tree_model, x[row], 1)
             np.testing.assert_allclose(phi[:, 1], exact, atol=1e-10)
 
     def test_single_leaf_tree(self, rng):
         x = rng.normal(size=(20, 3))
         tree_model = DecisionTreeClassifier().fit(x, np.zeros(20, dtype=int))
-        phi, base = tree_shap_values(tree_model.tree_, x[0])
+        phi, base = tree_shap_values(tree_model, x[0])
         np.testing.assert_allclose(phi, 0.0)
         np.testing.assert_allclose(base, [1.0])
 
@@ -84,7 +91,7 @@ class TestTreeShapValues:
         unused = [f for f in range(5) if f not in used]
         if not unused:
             pytest.skip("tree used every feature")
-        phi, _ = tree_shap_values(tree_model.tree_, x[0])
+        phi, _ = tree_shap_values(tree_model, x[0])
         for feature in unused:
             np.testing.assert_allclose(phi[feature], 0.0, atol=1e-12)
 
@@ -229,7 +236,7 @@ class TestRecursiveOracle:
     def test_tree_shap_values_wrapper(self, fitted_tree):
         tree_model, x = fitted_tree
         for row in range(4):
-            phi, base = tree_shap_values(tree_model.tree_, x[row])
+            phi, base = tree_shap_values(tree_model, x[row])
             expected_phi, expected_base = recursive_tree_shap_values(
                 tree_model.tree_, x[row])
             np.testing.assert_allclose(phi, expected_phi, rtol=0,

@@ -16,18 +16,19 @@ from repro.obs.alerts import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.trace import disable_tracing, enable_tracing, span
+from repro.obs.tsdb import MetricsTSDB
+from tests.conftest import SLOCounts
 
 
-def build_engine(registry=None, objective=0.99):
-    """Engine over one SLO fed by a mutable counter pair."""
-    state = {"good": 0.0, "total": 0.0}
+def build_engine(registry=None, objective=0.99, **slo_options):
+    """Engine over one SLO reading a registry counter pair."""
+    registry = registry if registry is not None else MetricsRegistry()
+    state = SLOCounts(registry)
     slo = SLO(
         name="svc", objective=objective, window_s=60.0,
-        good=lambda: state["good"], total=lambda: state["total"],
+        good=SLOCounts.GOOD, total=SLOCounts.TOTAL, **slo_options,
     )
-    engine = SLOEngine(
-        [slo], registry=registry if registry is not None else MetricsRegistry()
-    )
+    engine = SLOEngine([slo], MetricsTSDB(registry))
     return engine, state
 
 
@@ -151,16 +152,12 @@ class TestExemplarCapture:
         # capture path judges freshness only, which is what this covers.
         disable_tracing()
         registry = MetricsRegistry()
-        state = {"good": 0.0, "total": 0.0}
-        slo = SLO(
-            name="svc", objective=0.99, window_s=60.0,
-            good=lambda: state["good"], total=lambda: state["total"],
-            exemplar_metric="lat_seconds",
-        )
         hist = registry.histogram("lat_seconds", buckets=(0.1, 1.0))
         hist.observe(0.05, exemplar="trace-fast")
         hist.observe(5.0, exemplar="trace-slow")
-        engine = SLOEngine([slo], registry=registry)
+        engine, state = build_engine(
+            registry=registry, exemplar_metric="lat_seconds"
+        )
         manager = AlertManager(engine, [fast_rule()], registry=registry)
         engine.tick(now=0.0)
         manager.evaluate(now=0.0)
@@ -177,13 +174,9 @@ class TestExemplarCapture:
 
     def _fire_with_histogram(self, registry):
         """Drive the svc-fast alert to firing over a histogram-backed SLO."""
-        state = {"good": 0.0, "total": 0.0}
-        slo = SLO(
-            name="svc", objective=0.99, window_s=60.0,
-            good=lambda: state["good"], total=lambda: state["total"],
-            exemplar_metric="lat_seconds",
+        engine, state = build_engine(
+            registry=registry, exemplar_metric="lat_seconds"
         )
-        engine = SLOEngine([slo], registry=registry)
         manager = AlertManager(engine, [fast_rule()], registry=registry)
         engine.tick(now=0.0)
         manager.evaluate(now=0.0)

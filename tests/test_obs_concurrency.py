@@ -18,6 +18,7 @@ from repro.obs.alerts import AlertManager, default_rules
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.obs.slo import SLOEngine, default_slos
 from repro.obs.trace import disable_tracing, enable_tracing, span
+from repro.obs.tsdb import MetricsTSDB
 from repro.serve import ProfileService, ServeMetrics, make_server
 from tests.conftest import build_frozen_profile
 
@@ -71,7 +72,7 @@ def slo_server():
         frozen, max_batch=16, n_workers=2,
         metrics=ServeMetrics(registry=registry),
     )
-    engine = SLOEngine(default_slos(registry), registry=registry)
+    engine = SLOEngine(default_slos(), MetricsTSDB(registry))
     manager = AlertManager(
         engine, default_rules(engine), registry=registry
     )

@@ -9,6 +9,8 @@ from repro.obs.health import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLO, SLOEngine
+from repro.obs.tsdb import MetricsTSDB
+from tests.conftest import SLOCounts
 
 
 class TestRunChecks:
@@ -114,12 +116,12 @@ class TestServiceChecks:
         assert "no breaker" in checks["breaker"].detail
 
     def test_budget_check_is_noncritical(self):
-        state = {"good": 0.0, "total": 0.0}
+        registry = MetricsRegistry()
+        state = SLOCounts(registry)
         slo = SLO(name="svc", objective=0.99, window_s=60.0,
-                  good=lambda: state["good"], total=lambda: state["total"])
-        # Pin the engine clock: the probe queries with implicit `now`.
-        engine = SLOEngine([slo], registry=MetricsRegistry(),
-                           clock=lambda: 1.0)
+                  good=SLOCounts.GOOD, total=SLOCounts.TOTAL)
+        # Pin the history's clock: the probe queries with implicit `now`.
+        engine = SLOEngine([slo], MetricsTSDB(registry, clock=lambda: 1.0))
         engine.tick(now=0.0)
         state.update(good=50.0, total=100.0)  # budget blown
         engine.tick(now=1.0)

@@ -17,6 +17,7 @@ from repro.obs.alerts import AlertManager, default_rules
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.obs.slo import SLOEngine, default_slos
 from repro.obs.trace import disable_tracing, enable_tracing, span
+from repro.obs.tsdb import MetricsTSDB
 from repro.serve import ProfileService, ServeMetrics, make_server
 from tests.conftest import build_frozen_profile
 
@@ -25,7 +26,7 @@ from tests.conftest import build_frozen_profile
 def stack():
     """Service + SLO engine + alert manager on one fresh registry.
 
-    The engine and manager run on a synthetic clock (``clock["t"]``) so
+    The history and the manager run on a synthetic clock (``clock["t"]``) so
     implicit evaluations — scrape-triggered refreshes, health probes —
     stay on the same timeline as the tests' explicit ``now`` ticks.
     """
@@ -39,8 +40,8 @@ def stack():
     )
     clock = {"t": 0.0}
     engine = SLOEngine(
-        default_slos(registry, window_s=60.0), registry=registry,
-        clock=lambda: clock["t"],
+        default_slos(window_s=60.0),
+        MetricsTSDB(registry, clock=lambda: clock["t"]),
     )
     manager = AlertManager(
         engine, default_rules(engine, time_scale=1.0 / 60.0),
@@ -69,7 +70,7 @@ class TestFaultStormAlertCycle:
 
         # Storm: real traffic (feeding the latency histogram exemplars)
         # plus a deterministic burst of server-side errors.  Errors stay
-        # below total requests so the clamped good-event source keeps
+        # below total requests so the clamped good-event reading keeps
         # tracking request deltas through the recovery window.
         for call in range(4):
             with span("e2e.classify", phase="storm", call=call):

@@ -1,10 +1,12 @@
-"""Tests for tracing: nesting, exception safety, ring buffer, export."""
+"""Tests for tracing: nesting, exception safety, ring buffer, export, stage timing."""
 
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import (
     TraceStore,
     current_span,
@@ -193,3 +195,98 @@ class TestThreading:
         assert results["a"].parent_id is None
         assert results["b"].parent_id is None
         assert results["a"].trace_id != results["b"].trace_id
+
+
+class TestTimedStage:
+    """Every span times its stage into ``repro_stage_seconds``."""
+
+    def test_records_histogram_and_span(self, traced):
+        registry = MetricsRegistry()
+        with span("stage.x", registry=registry, rows=5):
+            pass
+        assert registry.get("repro_stage_seconds").labels(
+            stage="stage.x").count == 1
+        [record] = traced.spans()
+        assert record.name == "stage.x"
+        assert record.attributes["rows"] == 5
+
+    def test_works_with_tracing_disabled(self):
+        registry = MetricsRegistry()
+        with span("quiet", registry=registry):
+            pass
+        assert registry.get("repro_stage_seconds").labels(
+            stage="quiet").count == 1
+
+    def test_default_registry_when_none_given(self):
+        before = get_registry().stage("default.target").count
+        with span("default.target"):
+            pass
+        assert get_registry().stage("default.target").count == before + 1
+
+    def test_exception_propagates_and_still_observes(self, traced):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            with span("bad", registry=registry):
+                raise ValueError("x")
+        assert registry.get("repro_stage_seconds").labels(
+            stage="bad").count == 1
+        [record] = traced.spans()
+        assert record.error is True
+
+    def test_retains_exemplars_with_slo_engine_attached(self, traced):
+        from repro.obs.alerts import AlertManager, default_rules
+        from repro.obs.slo import SLOEngine, default_slos
+        from repro.obs.tsdb import MetricsTSDB
+
+        registry = MetricsRegistry()
+        clock = {"t": 0.0}
+        engine = SLOEngine(default_slos(window_s=60.0),
+                           MetricsTSDB(registry, clock=lambda: clock["t"]))
+        manager = AlertManager(engine, default_rules(engine),
+                               registry=registry, clock=lambda: clock["t"])
+        for _ in range(3):
+            with span("serve.vote", registry=registry, rows=4):
+                pass
+            clock["t"] += 1.0
+            engine.tick()
+            manager.evaluate()
+        family = registry.get("repro_stage_seconds")
+        exemplars = [e for _, child in family.series()
+                     for e in child.exemplars()]
+        assert exemplars
+        assert {e.trace_id for e in exemplars} <= {
+            s.trace_id for s in traced.spans()
+        }
+        assert engine.n_samples("serve-availability") == 3
+
+
+class TestPipelineIntegration:
+    def test_pipeline_fit_emits_stage_spans(self, traced):
+        from repro.core.pipeline import ICNProfiler
+
+        rng = np.random.default_rng(0)
+        totals = rng.lognormal(0.0, 1.0, size=(60, 8))
+        profiler = ICNProfiler(n_clusters=3, surrogate_trees=5)
+        profile = profiler.fit(totals)
+        profile.explain(samples_per_cluster=3)
+        names = {s.name for s in traced.spans()}
+        assert {"pipeline.rca", "pipeline.cluster", "pipeline.surrogate",
+                "pipeline.shap"} <= names
+
+    def test_streaming_profiler_emits_spans(self, traced):
+        from repro.stream import StreamingProfiler, replay_tensor
+        from tests.conftest import build_frozen_profile
+
+        frozen, totals = build_frozen_profile(n_antennas=40, n_services=6,
+                                              n_clusters=3)
+        tensor = np.repeat(totals[:, :, None] / 4.0, 4, axis=2)
+        hours = np.arange(
+            np.datetime64("2023-01-16T00", "h"),
+            np.datetime64("2023-01-16T04", "h"),
+        )
+        streamer = StreamingProfiler(frozen, window_hours=4)
+        for batch in replay_tensor(tensor, hours, frozen.antenna_ids,
+                                   frozen.service_names):
+            streamer.ingest(batch)
+        names = {s.name for s in traced.spans()}
+        assert {"stream.ingest", "stream.classify"} <= names

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.cluster import Dendrogram, cut_tree, linkage, pairwise_distances
+from repro.core.cluster import Dendrogram, linkage, pairwise_distances
 from repro.core.rca import rca, rsca, rsca_from_rca
 from repro.core.validation import silhouette_samples
 from repro.utils.assignment import align_labels, hungarian
@@ -77,8 +77,8 @@ class TestClusterProperties:
         z = linkage(x, "average")
         n = x.shape[0]
         for k in range(2, min(6, n)):
-            fine = cut_tree(z, k)
-            coarse = cut_tree(z, k - 1)
+            fine = Dendrogram(z).cut(k)
+            coarse = Dendrogram(z).cut(k - 1)
             for label in np.unique(fine):
                 assert np.unique(coarse[fine == label]).size == 1
 

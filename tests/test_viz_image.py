@@ -1,17 +1,32 @@
 """Tests for the PPM image export."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.viz.image import (
     diverging_colormap,
     matrix_to_image,
-    read_ppm,
     save_rsca_figure,
     save_temporal_figure,
     sequential_colormap,
     write_ppm,
 )
+
+
+def read_ppm(path) -> np.ndarray:
+    """Read back a binary PPM written by ``write_ppm``."""
+    data = Path(path).read_bytes()
+    if not data.startswith(b"P6"):
+        raise ValueError("not a binary PPM (P6) file")
+    parts = data.split(b"\n", 3)
+    if len(parts) < 4:
+        raise ValueError("truncated PPM header")
+    width, height = (int(x) for x in parts[1].split())
+    pixels = np.frombuffer(parts[3], dtype=np.uint8,
+                           count=width * height * 3)
+    return pixels.reshape(height, width, 3)
 
 
 class TestColormaps:

@@ -1,20 +1,26 @@
-"""Reference TreeSHAP: the recursive path algorithm, kept as a test oracle.
+"""Reference TreeSHAP: the recursive path algorithm and brute force,
+kept as test oracles.
 
 This is Algorithm 2 of Lundberg et al. ("From local explanations to
 global understanding with explainable AI for trees", Nature MI 2020),
 walking one instance down one tree with the EXTEND / UNWIND subset-weight
 updates.  ``repro.explain.treeshap`` computes the same values per leaf
 and vectorized; the differential tests compare the two.
+:func:`exact_tree_shapley` enumerates every coalition of the
+path-dependent value function (:func:`tree_conditional_expectation`)
+instead, the ground truth for small feature counts.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from itertools import combinations
+from math import factorial
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.explain.treeshap import _expected_value
-from repro.ml.tree import TreeStructure
+from repro.ml.tree import DecisionTreeClassifier, TreeStructure
 
 
 class _Path:
@@ -166,3 +172,77 @@ def recursive_shap_values(trees, classes, x: np.ndarray) -> np.ndarray:
             phi, _ = recursive_tree_shap_values(tree_model.tree_, x[row])
             out[row][:, cols] += phi
     return out / len(trees)
+
+
+def tree_conditional_expectation(
+    tree: TreeStructure,
+    x: np.ndarray,
+    fixed_features: Sequence[int],
+    class_index: int,
+) -> float:
+    """Expected leaf value of a tree with only some features observed.
+
+    Features in ``fixed_features`` route deterministically by ``x``; at
+    splits on any other feature the expectation branches to both children
+    weighted by training-sample proportions.  This is the *path-dependent*
+    value function that TreeSHAP attributes exactly.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    fixed = set(int(f) for f in fixed_features)
+
+    def walk(node: int) -> float:
+        if tree.is_leaf(node):
+            return float(tree.value[node, class_index])
+        feature = int(tree.feature[node])
+        left = int(tree.children_left[node])
+        right = int(tree.children_right[node])
+        if feature in fixed:
+            child = left if x[feature] <= tree.threshold[node] else right
+            return walk(child)
+        n_left = tree.n_node_samples[left]
+        n_right = tree.n_node_samples[right]
+        total = n_left + n_right
+        return (n_left * walk(left) + n_right * walk(right)) / total
+
+    return walk(0)
+
+
+def exact_tree_shapley(
+    tree_model: DecisionTreeClassifier,
+    x: np.ndarray,
+    class_index: int,
+    max_features: int = 16,
+) -> np.ndarray:
+    """Exact Shapley values under a tree's path-dependent value function.
+
+    Brute-force counterpart of TreeSHAP.
+    """
+    if tree_model.tree_ is None:
+        raise RuntimeError("tree is not fitted; call fit() first")
+    x = np.asarray(x, dtype=float).ravel()
+    m = x.size
+    if m > max_features:
+        raise ValueError(
+            f"exact enumeration over {m} features requires 2^{m} evaluations"
+        )
+    tree = tree_model.tree_
+    values = {}
+    features = list(range(m))
+    for size in range(m + 1):
+        for subset in combinations(features, size):
+            mask = 0
+            for f in subset:
+                mask |= 1 << f
+            values[mask] = tree_conditional_expectation(tree, x, subset, class_index)
+    phi = np.zeros(m)
+    fact = [factorial(i) for i in range(m + 1)]
+    for i in features:
+        others = [f for f in features if f != i]
+        for size in range(m):
+            weight = fact[size] * fact[m - size - 1] / fact[m]
+            for subset in combinations(others, size):
+                mask = 0
+                for f in subset:
+                    mask |= 1 << f
+                phi[i] += weight * (values[mask | (1 << i)] - values[mask])
+    return phi
