@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.pipeline import ICNProfiler
 from repro.datagen.dataset import TrafficDataset, generate_dataset
+from repro.relia.errors import CheckpointCorrupt
 from repro.viz.render import (
     render_beeswarm_table,
     render_dendrogram_summary,
@@ -149,8 +150,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    from pathlib import Path
-
     from repro.stream import StreamingProfiler, replay_dataset
 
     if args.checkpoint:
@@ -208,29 +207,16 @@ def _cmd_stream(args) -> int:
 
 
 def _serve_frozen_profile(args):
-    """Resolve the profile to serve: a saved artifact or a fresh fit.
-
-    Returns ``(frozen, error_code)``; exactly one is None.
-    """
-    from pathlib import Path
-
+    """Resolve the profile to serve: a saved artifact or a fresh fit."""
     from repro.stream import FrozenProfile
 
     if args.frozen:
-        artifact = Path(args.frozen)
-        if not artifact.is_file():
-            print(
-                f"error: frozen profile {artifact} does not exist",
-                file=sys.stderr,
-            )
-            return None, 2
-        return FrozenProfile.load(artifact), None
+        return FrozenProfile.load(args.frozen)
     dataset = _load_or_generate(args)
     profiler = ICNProfiler(n_clusters=args.clusters)
     align = dataset.archetypes() if args.align else None
     profile = profiler.fit(dataset, align_to=align)
-    frozen = profile.freeze(service_totals=dataset.totals.sum(axis=0))
-    return frozen, None
+    return profile.freeze(service_totals=dataset.totals.sum(axis=0))
 
 
 def _cmd_serve(args) -> int:
@@ -241,9 +227,7 @@ def _cmd_serve(args) -> int:
     from repro.obs.tsdb import MetricsTSDB
     from repro.serve import ProfileService, ServeMetrics, make_server
 
-    frozen, error = _serve_frozen_profile(args)
-    if error is not None:
-        return error
+    frozen = _serve_frozen_profile(args)
     # Back the node's metrics onto the process registry so the serve
     # counters, the SLO and alert gauges, and the recorded history all
     # share one exposition surface (ServeMetrics is private-registry by
@@ -758,10 +742,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A missing ``--dataset``/``--frozen`` file or a corrupt archive exits
+    2 with one line on stderr instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    for option, what in (("dataset", "dataset"), ("frozen", "frozen profile")):
+        path = getattr(args, option, None)
+        if path and not Path(path).is_file():
+            print(f"error: {what} {path} does not exist", file=sys.stderr)
+            return 2
+    try:
+        return args.func(args)
+    except CheckpointCorrupt as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,16 +5,18 @@ the antenna/site metadata, the service catalog, the study calendar, the
 N x M totals matrix, and an on-demand hourly synthesizer.  The companion
 outdoor population is generated separately via :meth:`TrafficDataset.outdoor`.
 
-Datasets serialize to ``.npz`` (totals + metadata + master seed); loading
-reconstructs the deterministic :class:`~repro.datagen.traffic.TrafficModel`
-so hourly series remain available after a round trip.
+Datasets save to the CRC-checked checkpoint archive
+(:mod:`repro.stream.checkpoint`: totals, plus metadata and master seed
+as JSON), so a damaged file fails with
+:class:`~repro.relia.errors.CheckpointCorrupt`; loading reconstructs the
+deterministic :class:`~repro.datagen.traffic.TrafficModel` so hourly
+series remain available after a round trip.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,8 +144,10 @@ class TrafficDataset:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Serialize to a ``.npz`` file (totals + metadata + seed)."""
-        path = Path(path)
+        """Write totals, metadata and seed through the checkpoint writer."""
+        # repro.stream imports this module, so import its writer here.
+        from repro.stream.checkpoint import save_state
+
         antenna_meta = [
             {
                 "antenna_id": a.antenna_id,
@@ -180,19 +184,23 @@ class TrafficDataset:
             "antennas": antenna_meta,
             "sites": site_meta,
         }
-        np.savez_compressed(
-            path,
-            totals=self.totals,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
+        save_state(path, {"totals": self.totals, "meta": json.dumps(meta)},
+                   keep_backup=False)
 
     @classmethod
     def load(cls, path) -> "TrafficDataset":
-        """Load a dataset previously written by :meth:`save`."""
-        path = Path(path)
-        with np.load(path) as archive:
-            totals = archive["totals"]
-            meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
+        """Load a dataset previously written by :meth:`save`.
+
+        Raises:
+            CheckpointCorrupt: when the archive fails validation (see
+                :func:`~repro.stream.checkpoint.load_state`).
+            FileNotFoundError: when no file exists at ``path``.
+        """
+        from repro.stream.checkpoint import load_state
+
+        state = load_state(path)
+        totals = np.asarray(state["totals"], dtype=float)
+        meta = json.loads(state["meta"])
         sites = [
             Site(
                 site_id=s["site_id"],
@@ -229,13 +237,13 @@ class TrafficDataset:
         model = TrafficModel(
             catalog, sites, antennas, calendar, master_seed=meta["master_seed"]
         )
-        model._totals = np.asarray(totals, dtype=float)
+        model._totals = totals
         return cls(
             sites=sites,
             antennas=antennas,
             catalog=catalog,
             calendar=calendar,
-            totals=np.asarray(totals, dtype=float),
+            totals=totals,
             model=model,
             master_seed=int(meta["master_seed"]),
         )

@@ -254,7 +254,7 @@ class CompiledForest:
     # ------------------------------------------------------------------
 
     def to_arrays(self, prefix: str = "compiled_") -> Dict[str, np.ndarray]:
-        """Flat-array dict for ``np.savez`` embedding (no pickling)."""
+        """Flat-array dict for embedding in a checkpoint archive (no pickling)."""
         return {
             f"{prefix}classes": self.classes,
             f"{prefix}feature": self.feature,

@@ -14,12 +14,13 @@ every counter is a registry counter family (``repro_serve_<name>_total``)
 held as its bound child, and ``registry.prometheus_text()`` renders the
 whole node state in the Prometheus text format for the serve endpoint's
 ``GET /metrics``.  The ``cache_hits``/``cache_misses`` counters are the
-node's only cache hit count.  The p50/p95/p99 latencies (the
-``repro_serve_latency_ms{quantile=...}`` gauges and ``to_dict()``'s
-``derived`` section) and the mean batch size are read from the
-histograms; quantiles are interpolated inside the request-latency
-buckets (:meth:`repro.obs.Histogram.quantile`), so they are estimates
-at bucket resolution, the same ones the TSDB's ``quantile()`` gives.
+node's only cache hit count.  The exposition carries only recorded
+series: request rate, hit rate and latency quantiles over time are the
+TSDB's ``rate()`` and ``quantile()`` over them.  ``to_dict()``'s
+``derived`` section reads the p50/p95/p99 latencies and the mean batch
+size from the histograms; quantiles are interpolated inside the
+request-latency buckets, so they are estimates at bucket resolution,
+the same ones the TSDB's ``quantile()`` gives.
 Each instance owns a private registry by default so independent
 services stay independent; pass a shared registry explicitly to merge
 several components onto one exposition surface.
@@ -46,7 +47,7 @@ from repro.obs.trace import current_trace_id
 #: Bucket bounds of the rows-per-batch exposition histogram.
 BATCH_ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: The reported latency quantiles by gauge label (``to_dict()`` appends
+#: The reported latency quantiles by label (``to_dict()`` appends
 #: ``_ms``).
 QUANTILES = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
 
@@ -104,24 +105,6 @@ class ServeMetrics:
         ).labels()
         self._first_request: Optional[float] = None
         self._last_request: Optional[float] = None
-        # Scrape-time gauges: evaluated at exposition, never stored.
-        self.registry.gauge(
-            "repro_serve_qps", "Completed requests per second"
-        ).set_function(self.qps)
-        self.registry.gauge(
-            "repro_serve_cache_hit_rate",
-            "Fraction of vector lookups answered from cache (0 before any)",
-        ).set_function(lambda: self.cache_hit_rate() or 0.0)
-        quantile_gauge = self.registry.gauge(
-            "repro_serve_latency_ms",
-            "Request latency quantiles in milliseconds, interpolated "
-            "inside the repro_serve_request_latency_seconds buckets",
-            labelnames=("quantile",),
-        )
-        for label, q in QUANTILES.items():
-            quantile_gauge.labels(quantile=label).set_function(
-                lambda q=q: (self._latency_hist.quantile(q) or 0.0) * 1e3
-            )
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment one counter (KeyError for an unknown name)."""

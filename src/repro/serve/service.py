@@ -141,7 +141,7 @@ class PendingClassify:
                   rows=int(rows.shape[0])):
             with service.registry.acquire() as (version, profile):
                 fresh = profile.nearest_centroids(rows)
-        service._degraded_total.inc(rows.shape[0])
+        service._degraded_total.inc()
         return self._answer(fresh, version, degraded=True)
 
     def result(self, timeout: Optional[float] = None) -> ClassifyResult:
@@ -258,7 +258,7 @@ class ProfileService:
         ).set_function(lambda: len(self.cache))
         self._degraded_total = obs_registry.counter(
             "repro_degraded_answers_total",
-            "Queries answered from the nearest-centroid fallback path",
+            "Requests answered from the nearest-centroid fallback",
         )
         self._breaker: Optional[CircuitBreaker] = None
         if degrade is not None:

@@ -22,8 +22,12 @@ Durability is belt-and-braces:
   the primary fails validation — preserving the corrupt file as
   ``<path>.corrupt`` for autopsy.
 
-Checkpoints written before CRC validation existed (manifest format 1)
-still load; they simply skip the CRC pass.
+This is the package's one ``.npz`` format: frozen profiles
+(:meth:`repro.stream.FrozenProfile.save`) and datasets
+(:meth:`repro.datagen.dataset.TrafficDataset.save`) are written and read
+through :func:`save_state` and :func:`load_state` too.  An archive
+without a format-2 manifest, such as a raw :func:`numpy.savez` file,
+does not load.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tokenize
 import zipfile
 import zlib
 from pathlib import Path
@@ -215,28 +220,26 @@ def _load_state_validated(path) -> Dict[str, object]:
     except CheckpointCorrupt:
         raise
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError,
-            ValueError, NotImplementedError) as exc:
+            ValueError, NotImplementedError, tokenize.TokenError) as exc:
         # zipfile raises NotImplementedError for a damaged central
-        # directory entry that reads as an unsupported zip version.
+        # directory entry that reads as an unsupported zip version, and
+        # numpy's header parser TokenError for a garbled array header.
         raise CheckpointCorrupt(
             path, f"unreadable archive ({type(exc).__name__}: {exc})"
         ) from exc
-    if isinstance(manifest, dict) and "format" in manifest:
-        scalars = manifest.get("scalars", {})
-        checksums = manifest.get("crc", {})
-        for key, expected in checksums.items():
-            if key not in state:
-                raise CheckpointCorrupt(path, f"missing array {key!r}")
-            actual = _array_crc(state[key])
-            if actual != int(expected):
-                raise CheckpointCorrupt(
-                    path,
-                    f"crc mismatch for {key!r} "
-                    f"(expected {int(expected)}, got {actual})",
-                )
-    else:
-        # Format-1 manifest: a bare scalars dict, no CRC coverage.
-        scalars = manifest
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
+        raise CheckpointCorrupt(path, "unknown manifest format")
+    scalars = manifest.get("scalars", {})
+    for key, expected in manifest.get("crc", {}).items():
+        if key not in state:
+            raise CheckpointCorrupt(path, f"missing array {key!r}")
+        actual = _array_crc(state[key])
+        if actual != int(expected):
+            raise CheckpointCorrupt(
+                path,
+                f"crc mismatch for {key!r} "
+                f"(expected {int(expected)}, got {actual})",
+            )
     for key, entry in scalars.items():
         kind, value = entry["type"], entry["value"]
         if kind == "bool":

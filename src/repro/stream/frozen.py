@@ -4,8 +4,10 @@ An :class:`~repro.core.pipeline.ICNProfile` is a heavyweight object
 (clustering model, dendrogram, SHAP caches).  The online path needs only
 the parts that define the *reference partition*: the RSCA features and
 labels of the training antennas, the per-cluster centroids, and the
-surrogate forest.  :class:`FrozenProfile` captures exactly that, serializes
-to ``.npz``, and exposes the nearest-centroid + surrogate-forest vote in
+surrogate forest.  :class:`FrozenProfile` captures exactly that, saves
+and loads through the CRC-checked checkpoint archive
+(:mod:`repro.stream.checkpoint`, so a damaged artifact fails with
+:class:`~repro.relia.errors.CheckpointCorrupt`), and exposes the nearest-centroid + surrogate-forest vote in
 two forms: :meth:`FrozenProfile.kernel`, the compiled inference path the
 :class:`~repro.stream.profiler.StreamingProfiler` and the serving layer
 classify with, and :meth:`FrozenProfile.vote`, the object-forest oracle
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.core.rca import reference_rsca
 from repro.ml.compiled import CompiledForest, FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
 from repro.relia.errors import CheckpointCorrupt
+from repro.stream.checkpoint import load_state, save_state
 from repro.utils.checks import check_matrix
 
 #: Forest constructor arguments captured in the artifact.
@@ -177,7 +179,7 @@ class FrozenProfile:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the artifact to ``.npz``.
+        """Write the artifact through :func:`~repro.stream.checkpoint.save_state`.
 
         Alongside the training data and forest hyper-parameters, the
         archive embeds the array-compiled surrogate (flat ``compiled_*``
@@ -187,79 +189,70 @@ class FrozenProfile:
         params: Dict[str, object] = {
             name: getattr(self.surrogate, name) for name in _FOREST_PARAMS
         }
-        meta = {
-            "service_names": list(self.service_names),
-            "surrogate_params": params,
-        }
-        arrays = {
+        state: Dict[str, object] = {
             "features": self.features,
             "labels": self.labels,
             "antenna_ids": self.antenna_ids,
             "clusters": self.clusters,
             "centroids": self.centroids,
-            "meta": np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            ),
+            "meta": json.dumps({
+                "service_names": list(self.service_names),
+                "surrogate_params": params,
+            }),
         }
         if self.service_totals is not None:
-            arrays["service_totals"] = self.service_totals
-        arrays.update(self.compiled_forest().to_arrays())
-        np.savez_compressed(Path(path), **arrays)
+            state["service_totals"] = self.service_totals
+        state.update(self.compiled_forest().to_arrays())
+        save_state(path, state, keep_backup=False)
 
     @classmethod
     def load(cls, path) -> "FrozenProfile":
         """Load an artifact, refitting the deterministic surrogate.
 
-        Archives written by this version carry the compiled forest's
-        flat arrays.  They must equal the compiled refit, so the served
-        kernel, :meth:`vote` and TreeSHAP all describe one forest.  Older
-        archives without ``compiled_*`` arrays still load; the kernel is
-        then compiled from the refit on first use.
+        The archive's ``compiled_*`` arrays must equal the compiled
+        refit, so the served kernel, :meth:`vote` and TreeSHAP all
+        describe one forest.
 
         Raises:
-            CheckpointCorrupt: when the stored kernel differs from the
-                refit forest's, as in an archive frozen by a version that
-                grew its trees differently; re-freeze it from the profile.
+            CheckpointCorrupt: when the archive fails validation (see
+                :func:`~repro.stream.checkpoint.load_state`), or its
+                stored kernel is absent or differs from the refit
+                forest's, as in an archive frozen by a version that grew
+                its trees differently; re-freeze it from the profile.
+            FileNotFoundError: when no file exists at ``path``.
         """
-        with np.load(Path(path), allow_pickle=False) as archive:
-            features = np.asarray(archive["features"], dtype=float)
-            labels = np.asarray(archive["labels"], dtype=int)
-            antenna_ids = np.asarray(archive["antenna_ids"], dtype=np.int64)
-            clusters = np.asarray(archive["clusters"], dtype=int)
-            centroids = np.asarray(archive["centroids"], dtype=float)
-            service_totals = (
-                np.asarray(archive["service_totals"], dtype=float)
-                if "service_totals" in archive.files
-                else None
-            )
-            stored = {
-                key: archive[key] for key in archive.files
-                if key.startswith("compiled_")
-            }
-            meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
+        state = load_state(path)
+        features = np.asarray(state["features"], dtype=float)
+        labels = np.asarray(state["labels"], dtype=int)
+        service_totals = state.get("service_totals")
+        if service_totals is not None:
+            service_totals = np.asarray(service_totals, dtype=float)
+        stored = {
+            key: value for key, value in state.items()
+            if key.startswith("compiled_")
+        }
+        meta = json.loads(state["meta"])
         params = dict(meta["surrogate_params"])
         # JSON round-trips "sqrt"/ints/None for max_features untouched.
         surrogate = RandomForestClassifier(**params)
         surrogate.fit(features, labels)
-        compiled = None
-        if stored:
-            compiled = surrogate.compile()
-            fresh = compiled.to_arrays()
-            if stored.keys() != fresh.keys() or not all(
-                np.array_equal(stored[key], fresh[key], equal_nan=True)
-                for key in fresh
-            ):
-                raise CheckpointCorrupt(
-                    path,
-                    "stored compiled surrogate differs from the refit forest; "
-                    "re-freeze the artifact from its profile",
-                )
+        compiled = surrogate.compile()
+        fresh = compiled.to_arrays()
+        if stored.keys() != fresh.keys() or not all(
+            np.array_equal(stored[key], fresh[key], equal_nan=True)
+            for key in fresh
+        ):
+            raise CheckpointCorrupt(
+                path,
+                "stored compiled surrogate differs from the refit forest; "
+                "re-freeze the artifact from its profile",
+            )
         return cls(
             features=features,
             labels=labels,
-            antenna_ids=antenna_ids,
-            clusters=clusters,
-            centroids=centroids,
+            antenna_ids=np.asarray(state["antenna_ids"], dtype=np.int64),
+            clusters=np.asarray(state["clusters"], dtype=int),
+            centroids=np.asarray(state["centroids"], dtype=float),
             service_names=tuple(meta["service_names"]),
             surrogate=surrogate,
             service_totals=service_totals,

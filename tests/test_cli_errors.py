@@ -1,9 +1,12 @@
 """CLI error-path coverage: unknown subcommands, bad arguments, missing
 paths — every failure must exit with a clear message, never a traceback."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+from tests.conftest import build_frozen_profile
 
 
 class TestUnknownSubcommand:
@@ -62,3 +65,38 @@ class TestServeArguments:
         assert args.max_batch == 32
         assert args.workers == 4
         assert args.cache_ttl == pytest.approx(30.0)
+
+
+class TestArchiveErrors:
+    """A missing or corrupt archive exits 2 with one ``error:`` line."""
+
+    @staticmethod
+    def error_line(capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        return lines[0]
+
+    def test_truncated_frozen_artifact(self, tmp_path, capsys):
+        path = tmp_path / "frozen.npz"
+        build_frozen_profile()[0].save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        assert main(["serve", "--frozen", str(path)]) == 2
+        assert self.error_line(capsys).startswith(
+            f"error: corrupt checkpoint {path}: ")
+
+    def test_pre_change_dataset_archive(self, tmp_path, capsys):
+        # The layout datasets had before they went through the checkpoint
+        # writer: raw np.savez arrays with no manifest.
+        path = tmp_path / "dataset.npz"
+        np.savez_compressed(path, totals=np.ones((2, 3)),
+                            meta=np.frombuffer(b"{}", dtype=np.uint8))
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert self.error_line(capsys) == (
+            f"error: corrupt checkpoint {path}: missing manifest")
+
+    def test_missing_dataset(self, tmp_path, capsys):
+        path = tmp_path / "nope.npz"
+        assert main(["profile", "--dataset", str(path)]) == 2
+        assert self.error_line(capsys) == (
+            f"error: dataset {path} does not exist")

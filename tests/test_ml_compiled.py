@@ -23,6 +23,7 @@ from repro.ml.compiled import (
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import LEAF, DecisionTreeClassifier
 from repro.relia.errors import CheckpointCorrupt
+from repro.stream.checkpoint import load_state, save_state
 from repro.stream.frozen import FrozenProfile
 
 from tests.compiled_oracle import compiled_equivalent, full_vote
@@ -323,8 +324,7 @@ class TestFrozenProfileEmbedding:
         frozen, _totals = tiny_frozen
         path = tmp_path / "frozen.npz"
         frozen.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            names = set(archive.files)
+        names = set(load_state(path))
         assert {"compiled_feature", "compiled_threshold", "compiled_left",
                 "compiled_right", "compiled_values", "compiled_roots",
                 "compiled_classes", "compiled_shape"} <= names
@@ -352,35 +352,30 @@ class TestFrozenProfileEmbedding:
         other = copy.copy(frozen.surrogate)
         other.random_state += 1
         other.fit(frozen.features, frozen.labels)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays.update(other.compile().to_arrays())
+        state = load_state(path)
+        state.update(other.compile().to_arrays())
         stale = tmp_path / "stale.npz"
-        np.savez_compressed(stale, **arrays)
+        save_state(stale, state)
         with pytest.raises(CheckpointCorrupt, match="re-freeze") as excinfo:
             FrozenProfile.load(stale)
         assert excinfo.value.path == str(stale)
 
-    def test_legacy_archive_without_compiled_arrays(
+    def test_archive_without_compiled_arrays_is_rejected(
         self, tiny_frozen, tmp_path
     ):
+        # Without a stored kernel there is nothing to check the refit
+        # against, so the archive fails the same stale-kernel check.
         frozen, _totals = tiny_frozen
         path = tmp_path / "frozen.npz"
         frozen.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            stripped = {
-                name: archive[name] for name in archive.files
-                if not name.startswith("compiled_")
-            }
+        stripped = {
+            name: value for name, value in load_state(path).items()
+            if not name.startswith("compiled_")
+        }
         legacy = tmp_path / "legacy.npz"
-        np.savez_compressed(legacy, **stripped)
-        loaded = FrozenProfile.load(legacy)
-        assert loaded.compiled is None
-        queries = frozen.features[:50]
-        assert np.array_equal(
-            loaded.kernel().vote(queries), frozen.vote(queries)
-        )
-        assert loaded.compiled is not None  # built lazily on first use
+        save_state(legacy, stripped)
+        with pytest.raises(CheckpointCorrupt, match="re-freeze"):
+            FrozenProfile.load(legacy)
 
 
 class TestPaperScale:

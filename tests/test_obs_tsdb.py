@@ -390,8 +390,8 @@ class TestOneHistory:
             for family in engine.registry.families()
             for labels, child in family.series()
         }
-        # Direct reads only: the exposition's reads are not counted, nor
-        # those a scrape-time gauge function makes to compute its value.
+        # Every read counts, also one a scrape-time gauge function makes
+        # to compute its value; only the exposition's own reads do not.
         reads = collections.Counter()
         inside = threading.local()
 
@@ -399,11 +399,7 @@ class TestOneHistory:
             def wrapper(child, *args):
                 if not getattr(inside, "depth", 0):
                     reads[id(child)] += 1
-                inside.depth = getattr(inside, "depth", 0) + 1
-                try:
-                    return read(child, *args)
-                finally:
-                    inside.depth -= 1
+                return read(child, *args)
             return wrapper
 
         for cls, name in ((Counter, "value"), (Gauge, "value"),

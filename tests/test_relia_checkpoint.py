@@ -138,8 +138,9 @@ def test_archive_without_manifest_is_corrupt(tmp_path):
         load_state(path)
 
 
-def test_legacy_format1_checkpoint_still_loads(tmp_path):
-    # Pre-CRC checkpoints carried a bare scalars dict as the manifest.
+def test_legacy_format1_checkpoint_is_corrupt(tmp_path):
+    # Pre-CRC checkpoints carried a bare scalars dict as the manifest;
+    # with no CRC to check, they are not read.
     path = tmp_path / "legacy.npz"
     manifest = json.dumps({"count": {"type": "int", "value": 7}})
     np.savez_compressed(
@@ -147,9 +148,8 @@ def test_legacy_format1_checkpoint_still_loads(tmp_path):
         data=np.arange(4, dtype=float),
         __manifest__=np.frombuffer(manifest.encode("utf-8"), dtype=np.uint8),
     )
-    state = load_state(path)
-    assert state["count"] == 7
-    np.testing.assert_array_equal(state["data"], np.arange(4, dtype=float))
+    with pytest.raises(CheckpointCorrupt, match="unknown manifest format"):
+        load_state(path)
 
 
 # ----------------------------------------------------------------------

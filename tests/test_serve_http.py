@@ -185,10 +185,8 @@ class TestObservability:
             content_type = response.headers["Content-Type"]
             text = response.read().decode("utf-8")
         assert content_type.startswith("text/plain")
-        # Required series: qps, latency, cache, shed.
-        assert "# TYPE repro_serve_qps gauge" in text
+        # Required series: requests, latency, cache, shed.
         assert "repro_serve_request_latency_seconds_bucket" in text
-        assert 'repro_serve_latency_ms{quantile="p95"}' in text
         assert "repro_serve_cache_hits_total" in text
         assert "repro_serve_shed_requests_total" in text
         assert "repro_serve_requests_total" in text

@@ -76,8 +76,3 @@ class TestServeMetrics:
         quantiles = metrics.latency_quantiles_ms()
         assert 0.5 < quantiles["p50_ms"] <= 1.0
         assert quantiles["p99_ms"] <= 1.0
-        gauge = metrics.registry.get("repro_serve_latency_ms")
-        assert gauge.labels(quantile="p50").value == pytest.approx(
-            quantiles["p50_ms"])
-        assert 'repro_serve_latency_ms{quantile="p99"}' in \
-            metrics.registry.prometheus_text()
