@@ -747,11 +747,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     A missing ``--dataset``/``--frozen`` file or a corrupt archive exits
     2 with one line on stderr instead of a traceback.
     """
+    from repro.stream.checkpoint import stored_path
+
     parser = build_parser()
     args = parser.parse_args(argv)
     for option, what in (("dataset", "dataset"), ("frozen", "frozen profile")):
         path = getattr(args, option, None)
-        if path and not Path(path).is_file():
+        if path and not stored_path(path).is_file():
             print(f"error: {what} {path} does not exist", file=sys.stderr)
             return 2
     try:

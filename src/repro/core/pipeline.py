@@ -53,8 +53,8 @@ class ICNProfile:
 
     Attributes:
         features: N x M RSCA matrix the clustering ran on.
-        labels: cluster label per antenna (possibly aligned; see
-            :meth:`aligned_to`).
+        labels: cluster label per antenna (renumbered when fitted with
+            ``align_to``; see :meth:`ICNProfiler.fit`).
         clustering: the fitted hierarchical clustering model.
         surrogate: random forest trained to imitate the clustering.
         surrogate_accuracy: surrogate's training-set agreement with the
@@ -103,34 +103,6 @@ class ICNProfile:
             raw_label = int(np.bincount(raw_fine[members]).argmax())
             mapping[int(aligned_label)] = raw_groups[raw_label]
         return mapping
-
-    # ------------------------------------------------------------------
-    # Label alignment
-    # ------------------------------------------------------------------
-
-    def aligned_to(self, reference: Sequence[int]) -> "ICNProfile":
-        """Relabel clusters to best match a reference labelling.
-
-        Used to report results in the paper's cluster numbering by aligning
-        to the generator's latent archetypes.  Returns a new profile with a
-        retrained surrogate on the aligned labels, timed as the
-        ``pipeline.align`` stage.  :meth:`ICNProfiler.fit` with
-        ``align_to`` gives the same profile with a single forest fit.
-        """
-        with span("pipeline.align"):
-            labels = _aligned_labels(self.labels, reference)
-            surrogate = _fit_surrogate(self.features, labels, self.surrogate)
-            accuracy = surrogate.score(self.features, labels)
-        return ICNProfile(
-            features=self.features,
-            labels=labels,
-            clustering=self.clustering,
-            surrogate=surrogate,
-            surrogate_accuracy=accuracy,
-            service_names=self.service_names,
-            env_types=self.env_types,
-            paris_mask=self.paris_mask,
-        )
 
     # ------------------------------------------------------------------
     # Downstream analyses
@@ -300,9 +272,8 @@ class ICNProfiler:
 
         Times the ``pipeline.rca``, ``pipeline.cluster`` and
         ``pipeline.surrogate`` stages.  With ``align_to``, the Ward labels
-        are renumbered inside ``pipeline.cluster``, before the one forest
-        fit, so the result equals ``fit(data).aligned_to(align_to)``
-        (same labels, bit-identical forest) at the cost of a single fit.
+        are renumbered to best match the reference inside
+        ``pipeline.cluster``, before the one forest fit.
 
         Args:
             data: a :class:`TrafficDataset`, or a raw N x M totals matrix.

@@ -193,12 +193,14 @@ class TrafficDataset:
 
         Raises:
             CheckpointCorrupt: when the archive fails validation (see
-                :func:`~repro.stream.checkpoint.load_state`).
+                :func:`~repro.stream.checkpoint.load_state`) or is a valid
+                archive of another kind (a key is missing).
             FileNotFoundError: when no file exists at ``path``.
         """
-        from repro.stream.checkpoint import load_state
+        from repro.stream.checkpoint import load_state, require_keys
 
         state = load_state(path)
+        require_keys(state, path, ("totals", "meta"), "dataset")
         totals = np.asarray(state["totals"], dtype=float)
         meta = json.loads(state["meta"])
         sites = [

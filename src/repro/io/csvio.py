@@ -26,6 +26,9 @@ import numpy as np
 #: Metadata columns of the wide-totals schema, in order.
 WIDE_META_COLUMNS = ("antenna_id", "name")
 
+#: Header of the long hourly schema.
+_HOURLY_COLUMNS = ["antenna_id", "service", "timestamp", "traffic_mb"]
+
 
 def export_totals_csv(
     path,
@@ -125,12 +128,48 @@ def export_hourly_csv(
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["antenna_id", "service", "timestamp", "traffic_mb"])
+        writer.writerow(_HOURLY_COLUMNS)
         for row, antenna_id in enumerate(antenna_ids):
             for col, stamp in enumerate(hours):
                 writer.writerow(
                     [antenna_id, service, str(stamp), f"{matrix[row, col]:.6f}"]
                 )
+
+
+def _hourly_rows(
+    path,
+) -> Iterator[Tuple[int, int, str, np.datetime64, float]]:
+    """``(line_no, antenna_id, service, hour, traffic_mb)`` per data row.
+
+    Checks the header and each row's shape and cells, raising
+    ``ValueError`` with the file and line number; a file with a header
+    but no rows raises too.
+    """
+    path = Path(path)
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path} is empty") from None
+        if header != _HOURLY_COLUMNS:
+            raise ValueError(
+                f"expected header {_HOURLY_COLUMNS}, got {header}"
+            )
+        line_no = 1
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValueError(f"{path}:{line_no}: expected 4 cells")
+            try:
+                record = (int(row[0]), row[1], np.datetime64(row[2], "h"),
+                          float(row[3]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line_no}: malformed record"
+                ) from None
+            yield (line_no,) + record
+    if line_no == 1:
+        raise ValueError(f"{path} contains no measurements")
 
 
 def load_hourly_csv(
@@ -144,33 +183,7 @@ def load_hourly_csv(
         id / name / timestamp.  Duplicate measurements for the same cell
         are summed (measurement platforms emit partial records).
     """
-    path = Path(path)
-    records: List[Tuple[int, str, np.datetime64, float]] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        expected = ["antenna_id", "service", "timestamp", "traffic_mb"]
-        if header != expected:
-            raise ValueError(f"expected header {expected}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 cells")
-            try:
-                records.append(
-                    (
-                        int(row[0]),
-                        row[1],
-                        np.datetime64(row[2], "h"),
-                        float(row[3]),
-                    )
-                )
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed record") from None
-    if not records:
-        raise ValueError(f"{path} contains no measurements")
+    records = [row[1:] for row in _hourly_rows(path)]
     antenna_ids = np.array(sorted({r[0] for r in records}))
     service_names = sorted({r[1] for r in records})
     hours = np.array(sorted({r[2] for r in records}))
@@ -222,52 +235,32 @@ def iter_hourly_csv(
         matrix = np.vstack([cells[a] for a in ids.tolist()])
         return hour, ids, matrix
 
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        expected = ["antenna_id", "service", "timestamp", "traffic_mb"]
-        if header != expected:
-            raise ValueError(f"expected header {expected}, got {header}")
-        current_hour: Optional[np.datetime64] = None
-        cells: Dict[int, np.ndarray] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 cells")
-            try:
-                antenna = int(row[0])
-                stamp = np.datetime64(row[2], "h")
-                value = float(row[3])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed record") from None
-            column = s_index.get(row[1])
-            if column is None:
-                raise ValueError(
-                    f"{path}:{line_no}: service {row[1]!r} not in "
-                    f"service_names"
-                )
-            if current_hour is None:
-                current_hour = stamp
-            elif stamp != current_hour:
-                if stamp < current_hour:
-                    raise ValueError(
-                        f"{path}:{line_no}: timestamp {stamp} goes backwards "
-                        f"(file must be hour-ordered; see load_hourly_csv "
-                        f"for unordered files)"
-                    )
-                yield flush(current_hour, cells)
-                current_hour = stamp
-                cells = {}
-            cell_row = cells.get(antenna)
-            if cell_row is None:
-                cell_row = np.zeros(len(names))
-                cells[antenna] = cell_row
-            cell_row[column] += value
+    current_hour: Optional[np.datetime64] = None
+    cells: Dict[int, np.ndarray] = {}
+    for line_no, antenna, service, stamp, value in _hourly_rows(path):
+        column = s_index.get(service)
+        if column is None:
+            raise ValueError(
+                f"{path}:{line_no}: service {service!r} not in service_names"
+            )
         if current_hour is None:
-            raise ValueError(f"{path} contains no measurements")
-        yield flush(current_hour, cells)
+            current_hour = stamp
+        elif stamp != current_hour:
+            if stamp < current_hour:
+                raise ValueError(
+                    f"{path}:{line_no}: timestamp {stamp} goes backwards "
+                    f"(file must be hour-ordered; see load_hourly_csv "
+                    f"for unordered files)"
+                )
+            yield flush(current_hour, cells)
+            current_hour = stamp
+            cells = {}
+        cell_row = cells.get(antenna)
+        if cell_row is None:
+            cell_row = np.zeros(len(names))
+            cells[antenna] = cell_row
+        cell_row[column] += value
+    yield flush(current_hour, cells)
 
 
 def totals_from_hourly(tensor: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ zero-dependency layer:
   families with labels, exposed as Prometheus text (the serve
   endpoint's ``GET /metrics``) or JSON (``repro-icn obs dump``); every
   latency quantile is interpolated from a histogram's buckets
-  (:meth:`Histogram.quantile`);
+  (:func:`~repro.obs.registry.bucket_quantile`);
 * :func:`span` — the one timing primitive: every span observes its
   wall-clock into ``repro_stage_seconds{stage=<name>}``, and with
   tracing on it is also recorded into a :class:`TraceStore` ring buffer

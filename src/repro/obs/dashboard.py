@@ -127,12 +127,10 @@ def _history_values(payload: dict) -> List[float]:
         if isinstance(t, (int, float)) and isinstance(v, (int, float))
     ]
     if payload.get("fn") == "rate":
-        values = []
-        for (t0, v0), (t1, v1) in zip(pairs, pairs[1:]):
-            dt = t1 - t0
-            if dt > 0:
-                values.append(max(0.0, v1 - v0) / dt)
-        return values
+        return [
+            (v1 - v0) / (t1 - t0)
+            for (t0, v0), (t1, v1) in zip(pairs, pairs[1:]) if t1 > t0
+        ]
     return [v for _, v in pairs]
 
 

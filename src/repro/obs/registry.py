@@ -32,6 +32,7 @@ under the serving layer's worker/handler thread mix.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 import re
 import threading
 import time
@@ -301,20 +302,7 @@ class Histogram(_Child):
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
         counts, _, _ = self.snapshot()
-        bounds = list(self.buckets) + [math.inf]
-        cumulative: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(bounds, counts):
-            running += count
-            cumulative.append((bound, running))
-        return cumulative
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Bucket-interpolated quantile ``q`` in [0, 1] (see
-        :func:`bucket_quantile`); None before the first observation."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return bucket_quantile(q, self.cumulative_buckets())
+        return list(zip(self.buckets + (math.inf,), accumulate(counts)))
 
 
 class _Family:

@@ -6,7 +6,9 @@ succeed", "99% of requests finish under 250 ms" — as two short sums of
 metric selectors (``good`` and ``total``) over the existing
 counter/histogram families, a target fraction, and a budget window.
 The :class:`SLOEngine` reads both sums as window increases of one
-:class:`~repro.obs.tsdb.MetricsTSDB` history, and derives the three
+:class:`~repro.obs.tsdb.MetricsTSDB` history — the same anchor-to-end
+rule as the TSDB's ``rate``/``delta``/``quantile`` queries, read through
+:meth:`~repro.obs.tsdb.MetricsTSDB.increase` — and derives the three
 quantities an operator actually acts on:
 
 * **compliance** — the good/total ratio over a rolling window;
@@ -43,12 +45,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.registry import LATENCY_BUCKETS, _format_value
-from repro.obs.tsdb import MetricsTSDB, _parse_selector
+from repro.obs.tsdb import MetricsTSDB, _parse_selector, _Term
 
 __all__ = ["SLO", "SLOEngine", "default_slos"]
-
-#: One parsed selector term: ``(sign, series name, label filter)``.
-_Term = Tuple[float, str, Dict[str, str]]
 
 #: An SLO side as declared: one selector, or several to sum.
 _Selectors = Union[str, Sequence[str]]
@@ -124,9 +123,11 @@ class SLOEngine:
 
     Call :meth:`tick` periodically (the serve HTTP layer ticks on every
     scrape; scripted scenarios tick with explicit synthetic timestamps).
-    A tick records the TSDB once and refreshes the exported gauges.
-    Window queries anchor each series on its latest sample at or before
-    the window start (or its oldest sample), so every derived value is a
+    A tick records the TSDB once and refreshes the exported gauges from
+    one read of each SLO's window.  Every window is read by the TSDB's
+    one rule (:meth:`MetricsTSDB.increase`): each series from its
+    latest sample at or before the window start (or its oldest sample)
+    to its latest at or before ``now``, so every derived value is a
     pure function of the recorded samples.
 
     Args:
@@ -198,47 +199,28 @@ class SLOEngine:
         ``ValueError`` (:meth:`MetricsTSDB.record`) before anything
         changes.  An implicit tick the TSDB coalesces — too soon after
         the last record, or behind it — judges the gauges at the last
-        record, so concurrent scrapes never fail one another.
+        record, so concurrent scrapes never fail one another.  Each
+        SLO's window is read once for both gauges.
         """
         self.tsdb.record(now)
         t = float(now) if now is not None else self.tsdb.last_record
         assert t is not None
         for name, slo in self._slos.items():
-            self._compliance_gauge.labels(slo=name).set(
-                self.compliance(name, slo.window_s, now=t)
+            compliance, budget = _judge(
+                slo.objective, *self._events(name, slo.window_s, t)
             )
-            self._budget_gauge.labels(slo=name).set(
-                self.budget_remaining(name, now=t)
-            )
+            self._compliance_gauge.labels(slo=name).set(compliance)
+            self._budget_gauge.labels(slo=name).set(budget)
         return t
 
-    def _window_sum(self, terms: List[_Term], window_s: float,
-                    t: float) -> float:
-        """Increase of a signed selector sum over the trailing window.
-
-        The sum is read at the window's anchor and at its end (each
-        series' :meth:`~repro.obs.tsdb.SeriesRing.bounds`), each
-        reading clamped at 0, and the increase clamped at 0: a
-        ``total - bad`` sum whose ``bad`` outruns ``total`` reads 0.
-        """
-        anchor = end = 0.0
-        for sign, series, labels in terms:
-            for _, ring in self.tsdb.select(series, labels):
-                first, last = ring.bounds(window_s, now=t)
-                if first is not None and last is not None:
-                    anchor += sign * first[1]
-                    end += sign * last[1]
-        return max(0.0, max(0.0, end) - max(0.0, anchor))
-
-    def _window_delta(self, name: str, window_s: float,
-                      now: Optional[float]) -> Tuple[float, float]:
-        """``(good, total)`` event deltas over the trailing window."""
+    def _events(self, name: str, window_s: float,
+                now: Optional[float]) -> Tuple[float, float]:
+        """``(good, total)`` event increases over the trailing window
+        (:meth:`MetricsTSDB.increase` of each side's selectors)."""
         t = float(now) if now is not None else self.tsdb.clock()
-        good, total = (
-            self._window_sum(terms, float(window_s), t)
-            for terms in self._terms[name]
-        )
-        return good, total
+        good, total = self._terms[name]
+        return (self.tsdb.increase(good, window_s, now=t),
+                self.tsdb.increase(total, window_s, now=t))
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -248,12 +230,9 @@ class SLOEngine:
                    now: Optional[float] = None) -> float:
         """Good fraction over the trailing window (1.0 with no events)."""
         slo = self._slos[name]
-        d_good, d_total = self._window_delta(
+        return _judge(slo.objective, *self._events(
             name, window_s if window_s is not None else slo.window_s, now
-        )
-        if d_total <= 0:
-            return 1.0
-        return min(1.0, d_good / d_total)
+        ))[0]
 
     def burn_rate(self, name: str, window_s: float,
                   now: Optional[float] = None) -> float:
@@ -262,12 +241,8 @@ class SLOEngine:
         1.0 means "errors arriving exactly at the rate the objective
         allows"; N means the budget is being spent N times too fast.
         """
-        slo = self._slos[name]
         error_fraction = 1.0 - self.compliance(name, window_s, now)
-        allowed = 1.0 - slo.objective
-        if allowed <= 0:
-            return math.inf if error_fraction > 0 else 0.0
-        return error_fraction / allowed
+        return error_fraction / (1.0 - self._slos[name].objective)
 
     def budget_remaining(self, name: str,
                          now: Optional[float] = None) -> float:
@@ -278,14 +253,7 @@ class SLOEngine:
         untouched (1.0).
         """
         slo = self._slos[name]
-        d_good, d_total = self._window_delta(name, slo.window_s, now)
-        if d_total <= 0:
-            return 1.0
-        bad = d_total - d_good
-        allowed = (1.0 - slo.objective) * d_total
-        if allowed <= 0:
-            return 1.0 if bad <= 0 else -math.inf
-        return 1.0 - bad / allowed
+        return _judge(slo.objective, *self._events(name, slo.window_s, now))[1]
 
     def n_samples(self, name: str) -> int:
         """Records behind one SLO's windows (a series not yet seen reads 0)."""
@@ -296,29 +264,40 @@ class SLOEngine:
     # Reporting
     # ------------------------------------------------------------------
 
-    def report(self, now: Optional[float] = None,
-               burn_windows: Sequence[float] = ()) -> Dict[str, object]:
+    def report(self, now: Optional[float] = None) -> Dict[str, object]:
         """JSON-serializable budget report (the ``GET /slo`` body)."""
         t = float(now) if now is not None else self.tsdb.clock()
         slos = []
         for name, slo in self._slos.items():
+            compliance, budget = _judge(
+                slo.objective, *self._events(name, slo.window_s, t)
+            )
             entry: Dict[str, object] = {
                 "name": name,
                 "kind": slo.kind,
                 "description": slo.description,
                 "objective": slo.objective,
                 "window_s": slo.window_s,
-                "compliance": self.compliance(name, slo.window_s, now=t),
-                "error_budget_remaining": self.budget_remaining(name, now=t),
+                "compliance": compliance,
+                "error_budget_remaining": budget,
                 "n_samples": self.n_samples(name),
             }
-            if burn_windows:
-                entry["burn_rates"] = {
-                    f"{int(w)}s": self.burn_rate(name, w, now=t)
-                    for w in burn_windows
-                }
             slos.append(entry)
         return {"slos": slos}
+
+
+def _judge(objective: float, good: float,
+           total: float) -> Tuple[float, float]:
+    """``(compliance, error budget remaining)`` of one window's events.
+
+    Compliance is the good fraction; the budget is 1.0 with no bad
+    events, 0.0 exactly at the objective and negative when overspent.
+    A window without events reads ``(1.0, 1.0)``.
+    """
+    if total <= 0:
+        return 1.0, 1.0
+    return (min(1.0, good / total),
+            1.0 - (total - good) / ((1.0 - objective) * total))
 
 
 def default_slos(latency_threshold_s: float = 0.25,

@@ -5,10 +5,11 @@ cumulative value *now*"; this module remembers what the answer was.  A
 :class:`MetricsTSDB` walks the registry on every :meth:`~MetricsTSDB.record`
 call (the serve HTTP layer records once per scrape — no background
 thread) and appends one ``(t, value)`` sample per concrete series into a
-fixed-capacity :class:`SeriesRing`.  Histograms fan out into
-``<name>_count``, ``<name>_sum``, and per-bound ``<name>_bucket`` rings
-so distribution quantiles can be computed *over a trailing window*
-instead of over the process lifetime.
+fixed-capacity :class:`SeriesRing` (storage only: the TSDB's one lock
+guards every ring).  Histograms fan out into ``<name>_count``,
+``<name>_sum``, and per-bound ``<name>_bucket`` rings so distribution
+quantiles can be computed *over a trailing window* instead of over the
+process lifetime.
 
 This history is the only one: the SLO engine (:mod:`repro.obs.slo`)
 judges its windows from the recorded good and total series, and asks
@@ -22,16 +23,23 @@ subset of PromQL the dashboards actually need::
 
     repro_serve_requests_total                 # latest recorded value
     rate(repro_serve_requests_total[60s])      # per-second increase
-    delta(repro_serve_queue_depth[30s])        # last - first over window
+    delta(repro_serve_queue_depth[30s])        # end - anchor of window
     quantile(0.99, repro_serve_request_latency_seconds[60s])
 
-Selectors accept an optional ``{label=value,...}`` filter.  ``rate`` and
-``delta`` anchor on the recorded samples inside the window (at least two
-samples required) and handle counter resets by summing positive
-per-interval increases, so the evaluated number is a pure function of
-the recorded samples — tests hand-compute it.  ``quantile`` applies the
-standard Prometheus linear interpolation to the *windowed* bucket
-increases of a histogram family.
+Selectors accept an optional ``{label=value,...}`` filter.  Every
+window is read by one rule: its *end* is a series' latest sample at or
+before ``now``, its *anchor* the latest sample at or before ``now -
+range``, or the oldest sample when none is that old.  ``delta`` is end
+minus anchor; ``rate`` is that over the time between the two samples
+(None when the window holds one sample); ``quantile`` applies the
+standard Prometheus linear interpolation (:func:`bucket_quantile`) to
+the windowed bucket increases, each clamped at 0; and
+:meth:`MetricsTSDB.increase` is the SLO engine's signed-selector
+increase.  A recorded counter never falls (``Counter.inc`` rejects
+negative amounts), so no reading needs a reset rule, and every
+evaluated number is a pure function of the recorded samples — tests
+hand-compute it.  A query's ``samples`` run from anchor to end, so its
+value can be recomputed from them.
 
 ``GET /query?expr=...&range=...`` on a serve node exposes
 :meth:`MetricsTSDB.query` verbatim, and ``repro-icn obs watch`` paints
@@ -46,7 +54,7 @@ from itertools import accumulate
 import re
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import (
     Histogram,
@@ -69,119 +77,31 @@ class QueryError(ValueError):
 
 
 class SeriesRing:
-    """Fixed-capacity append-only ring of ``(t, value)`` samples.
+    """Fixed-capacity ring of ``(t, value)`` samples in time order.
 
-    Appends must arrive in non-decreasing time order (the TSDB
-    serializes its records); a time that slips backwards is clamped to
-    the newest recorded time rather than corrupting the order
-    invariant.  All reads return copies, so callers never hold the lock
-    while iterating.
+    Storage only: the owning :class:`MetricsTSDB` appends to it and
+    reads it under its one lock, and its records never go back in time.
     """
 
-    __slots__ = ("capacity", "_times", "_values", "_lock")
+    __slots__ = ("capacity", "times", "values")
 
     def __init__(self, capacity: int = 720) -> None:
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
         self.capacity = int(capacity)
-        self._times: List[float] = []
-        self._values: List[float] = []
-        self._lock = threading.Lock()
+        self.times: List[float] = []
+        self.values: List[float] = []
 
-    def append(self, t: float, value: float) -> float:
-        """Record one sample; returns the (possibly clamped) time used."""
-        t = float(t)
-        with self._lock:
-            if self._times and t < self._times[-1]:
-                t = self._times[-1]
-            self._times.append(t)
-            self._values.append(float(value))
-            if len(self._times) > self.capacity:
-                del self._times[:-self.capacity]
-                del self._values[:-self.capacity]
-        return t
+    def append(self, t: float, value: float) -> None:
+        """Record one sample, evicting the oldest past ``capacity``."""
+        self.times.append(t)
+        self.values.append(value)
+        if len(self.times) > self.capacity:
+            del self.times[:-self.capacity]
+            del self.values[:-self.capacity]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._times)
-
-    def latest(self) -> Optional[Tuple[float, float]]:
-        """Newest ``(t, value)`` sample, or None when empty."""
-        with self._lock:
-            if not self._times:
-                return None
-            return self._times[-1], self._values[-1]
-
-    def samples(self, range_s: Optional[float] = None,
-                now: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Samples with ``t >= now - range_s`` (all samples when None)."""
-        with self._lock:
-            times = list(self._times)
-            values = list(self._values)
-        if range_s is None or not times:
-            return list(zip(times, values))
-        end = float(now) if now is not None else times[-1]
-        start = end - float(range_s)
-        return [
-            (t, v) for t, v in zip(times, values)
-            if start <= t <= end
-        ]
-
-    def bounds(self, range_s: float, now: Optional[float] = None) -> Tuple[
-        Optional[Tuple[float, float]], Optional[Tuple[float, float]]
-    ]:
-        """``(anchor, end)`` samples delimiting the trailing window.
-
-        ``anchor`` is the latest sample at or before ``now - range_s``
-        (the oldest sample when history is shorter than the window, so
-        short histories still produce honest deltas), ``end`` the latest
-        sample at or before ``now``.  ``(None, None)`` when the ring is
-        empty or every sample is newer than ``now``.
-        """
-        with self._lock:
-            times = self._times
-            if not times:
-                return None, None
-            t = float(now) if now is not None else times[-1]
-            end_index = bisect.bisect_right(times, t) - 1
-            if end_index < 0:
-                return None, None
-            anchor_index = max(
-                0, bisect.bisect_right(times, t - float(range_s)) - 1
-            )
-            return (
-                (times[anchor_index], self._values[anchor_index]),
-                (times[end_index], self._values[end_index]),
-            )
-
-    def delta(self, range_s: float, now: Optional[float] = None) -> float:
-        """``end - anchor`` over the trailing window (0.0 when empty)."""
-        anchor, end = self.bounds(range_s, now=now)
-        if anchor is None or end is None:
-            return 0.0
-        return end[1] - anchor[1]
-
-    def increase(self, range_s: float,
-                 now: Optional[float] = None) -> Tuple[float, float]:
-        """``(total_increase, elapsed_s)`` over the trailing window.
-
-        Counter-reset aware: sums only the positive per-interval
-        increments, so a process restart mid-window contributes the
-        post-restart growth instead of a huge negative delta.  Elapsed
-        is the time between the first and last in-window samples.
-        """
-        window = self.samples(range_s=range_s, now=now)
-        if len(window) < 2:
-            return 0.0, 0.0
-        total = 0.0
-        for (_, prev), (_, curr) in zip(window, window[1:]):
-            if curr > prev:
-                total += curr - prev
-            elif curr < prev:
-                # Reset: the counter restarted from ~0 and climbed to
-                # `curr`; count the visible post-reset growth.
-                total += curr
-        return total, window[-1][0] - window[0][0]
+        return len(self.times)
 
 
 #: ``name`` or ``name{label=value,...}`` with a trailing ``[Ns]`` range.
@@ -196,6 +116,10 @@ _FUNC_RE = re.compile(
 
 #: A fully resolved series key: (series name, sorted label items).
 _SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+#: One signed selector of an :meth:`MetricsTSDB.increase` sum:
+#: ``(sign, series name, label filter)``.
+_Term = Tuple[float, str, Dict[str, str]]
 
 
 def _parse_labels(text: Optional[str]) -> Dict[str, str]:
@@ -242,7 +166,8 @@ class MetricsTSDB:
         self.capacity = int(capacity)
         self.min_interval_s = float(min_interval_s)
         self.clock = clock
-        self._lock = threading.Lock()
+        # Reentrant, so a reader holding it can select its series.
+        self._lock = threading.RLock()
         self._series: Dict[_SeriesKey, SeriesRing] = {}
         self._retained: List[Tuple[str, Dict[str, str], int]] = []
         #: Records taken (coalesced calls excluded), and the newest's time.
@@ -268,11 +193,9 @@ class MetricsTSDB:
 
     def _depth(self, key: _SeriesKey) -> int:
         name, labels = key
-        items = dict(labels)
         depths = [
-            capacity for rule_name, rule_labels, capacity in self._retained
-            if rule_name == name
-            and all(items.get(k) == v for k, v in rule_labels.items())
+            capacity for rule_name, wanted, capacity in self._retained
+            if rule_name == name and wanted.items() <= dict(labels).items()
         ]
         return max(depths) if depths else self.capacity
 
@@ -353,34 +276,34 @@ class MetricsTSDB:
                labels: Optional[Dict[str, str]] = None) -> List[
                    Tuple[Dict[str, str], SeriesRing]]:
         """Rings recorded under ``name`` whose labels match the filter."""
-        wanted = labels or {}
+        wanted = (labels or {}).items()
         with self._lock:
-            items = sorted(
+            matched = sorted(
                 (key_labels, ring)
                 for (key_name, key_labels), ring in self._series.items()
-                if key_name == name
+                if key_name == name and wanted <= dict(key_labels).items()
             )
-        matched = [(dict(key_labels), ring) for key_labels, ring in items]
-        return [
-            (series_labels, ring) for series_labels, ring in matched
-            if all(series_labels.get(k) == v for k, v in wanted.items())
-        ]
+        return [(dict(key_labels), ring) for key_labels, ring in matched]
 
-    def samples(self, name: str,
-                labels: Optional[Dict[str, str]] = None,
-                range_s: Optional[float] = None,
-                now: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Merged in-window samples of every matching series.
+    def _windows(self, name: str, labels: Optional[Dict[str, str]],
+                 range_s: float, now: Optional[float]) -> Iterator[
+                     Tuple[Dict[str, str], SeriesRing, int, int]]:
+        """``(labels, ring, anchor, end)`` of each matching series' window.
 
-        With one matching series this is its sample list verbatim; with
-        several, samples are concatenated in time order (sparkline
-        consumers sum per-series rates instead via :meth:`query`).
+        The one window rule every query reads through: ``end`` indexes
+        the latest sample at or before ``now`` (the series' newest when
+        None), ``anchor`` the latest sample at or before ``now -
+        range_s``, or the oldest sample when none is that old.  A series
+        with no sample at or before ``now`` has no window and is
+        skipped.  The caller holds the lock.
         """
-        merged: List[Tuple[float, float]] = []
-        for _, ring in self.select(name, labels):
-            merged.extend(ring.samples(range_s=range_s, now=now))
-        merged.sort(key=lambda sample: sample[0])
-        return merged
+        for series_labels, ring in self.select(name, labels):
+            times = ring.times
+            t = times[-1] if now is None else float(now)
+            end = bisect.bisect_right(times, t) - 1
+            if end >= 0:
+                anchor = max(0, bisect.bisect_right(times, t - range_s) - 1)
+                yield series_labels, ring, anchor, end
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -389,32 +312,53 @@ class MetricsTSDB:
     def rate(self, name: str, range_s: float,
              labels: Optional[Dict[str, str]] = None,
              now: Optional[float] = None) -> Optional[float]:
-        """Summed per-second increase across matching series.
+        """Summed ``(end - anchor) / (t_end - t_anchor)`` of matching series.
 
-        None when no matching series holds two in-window samples (a
-        rate over a single point is undefined, not zero).
+        None when no matching series' window holds two samples apart in
+        time (a rate over a single point is undefined, not zero).
         """
-        total = 0.0
-        defined = False
-        for _, ring in self.select(name, labels):
-            increase, elapsed = ring.increase(range_s, now=now)
-            if elapsed > 0:
-                total += increase / elapsed
-                defined = True
-        return total if defined else None
+        with self._lock:
+            rates = [
+                (ring.values[end] - ring.values[anchor])
+                / (ring.times[end] - ring.times[anchor])
+                for _, ring, anchor, end in self._windows(
+                    name, labels, range_s, now
+                )
+                if ring.times[end] > ring.times[anchor]
+            ]
+        return sum(rates) if rates else None
 
     def delta(self, name: str, range_s: float,
               labels: Optional[Dict[str, str]] = None,
               now: Optional[float] = None) -> Optional[float]:
         """Summed ``end - anchor`` across matching series (None if none)."""
-        total = 0.0
-        defined = False
-        for _, ring in self.select(name, labels):
-            anchor, end = ring.bounds(range_s, now=now)
-            if anchor is not None and end is not None:
-                total += end[1] - anchor[1]
-                defined = True
-        return total if defined else None
+        with self._lock:
+            deltas = [
+                ring.values[end] - ring.values[anchor]
+                for _, ring, anchor, end in self._windows(
+                    name, labels, range_s, now
+                )
+            ]
+        return sum(deltas) if deltas else None
+
+    def increase(self, terms: Sequence[_Term], range_s: float,
+                 now: Optional[float] = None) -> float:
+        """Window increase of a signed sum of ``(sign, name, labels)`` terms.
+
+        The sum is read at every matching series' anchor and at its end,
+        each reading clamped at 0, and the increase clamped at 0: a
+        ``total - bad`` sum whose ``bad`` outruns ``total`` reads 0.
+        This is how the SLO engine reads its good and total events.
+        """
+        anchor_sum = end_sum = 0.0
+        with self._lock:
+            for sign, name, labels in terms:
+                for _, ring, anchor, end in self._windows(
+                    name, labels, range_s, now
+                ):
+                    anchor_sum += sign * ring.values[anchor]
+                    end_sum += sign * ring.values[end]
+        return max(0.0, max(0.0, end_sum) - max(0.0, anchor_sum))
 
     def quantile_over_time(self, q: float, name: str, range_s: float,
                            labels: Optional[Dict[str, str]] = None,
@@ -422,36 +366,33 @@ class MetricsTSDB:
         """Quantile of a histogram family's *windowed* distribution.
 
         Computes the per-bucket count increase over the trailing window
-        (summed across matching label sets), then interpolates inside
-        the target bucket like Prometheus (:func:`bucket_quantile`, the
-        same estimate as :meth:`Histogram.quantile`).  None when the
-        family recorded no bucket series or saw no observations inside
-        the window.
+        (summed across matching label sets, each clamped at 0), then
+        interpolates inside the target bucket like Prometheus
+        (:func:`bucket_quantile`).  None when the family recorded no
+        bucket series or saw no observations inside the window.
         """
         if not 0.0 <= q <= 1.0:
             raise QueryError(f"quantile must be in [0, 1], got {q}")
         by_bound: Dict[float, float] = {}
-        for series_labels, ring in self.select(f"{name}_bucket", labels):
-            le = series_labels.get("le")
-            if le is None:
-                continue
-            bound = math.inf if le == "+Inf" else float(le)
-            by_bound[bound] = by_bound.get(bound, 0.0) + max(
-                0.0, ring.delta(range_s, now=now)
-            )
+        with self._lock:
+            for series_labels, ring, anchor, end in self._windows(
+                f"{name}_bucket", labels, range_s, now
+            ):
+                le = series_labels.get("le")
+                if le is None:
+                    continue
+                bound = math.inf if le == "+Inf" else float(le)
+                by_bound[bound] = by_bound.get(bound, 0.0) + max(
+                    0.0, ring.values[end] - ring.values[anchor]
+                )
         return bucket_quantile(q, sorted(by_bound.items()))
 
     def latest(self, name: str,
                labels: Optional[Dict[str, str]] = None) -> Optional[float]:
         """Sum of the newest sample of every matching series."""
-        total = 0.0
-        defined = False
-        for _, ring in self.select(name, labels):
-            newest = ring.latest()
-            if newest is not None:
-                total += newest[1]
-                defined = True
-        return total if defined else None
+        with self._lock:
+            newest = [ring.values[-1] for _, ring in self.select(name, labels)]
+        return sum(newest) if newest else None
 
     # ------------------------------------------------------------------
     # The query endpoint
@@ -470,8 +411,9 @@ class MetricsTSDB:
 
         Returns a dict with the evaluated ``value`` (None when
         undefined), the parsed ``fn``/``metric``/``range_s``, and a
-        ``series`` list carrying each matching ring's in-window
-        ``samples`` for sparklines.  Raises :class:`QueryError` on a
+        ``series`` list carrying each matching series' window samples,
+        anchor to end (the whole history up to ``now`` for a bare
+        selector), for sparklines.  Raises :class:`QueryError` on a
         malformed expression or an unknown series.
         """
         fn, q, name, labels, parsed_range = _parse_expr(expr)
@@ -481,37 +423,36 @@ class MetricsTSDB:
                 f"{fn}() needs a range: {fn}({name}[60s]) or &range=60"
             )
         lookup = f"{name}_bucket" if fn == "quantile" else name
-        matched = self.select(lookup, labels)
-        if not matched:
+        if not self.select(lookup, labels):
             known = ", ".join(self.series_names()) or "<none recorded yet>"
             raise QueryError(
                 f"no recorded series matches {name!r}"
                 + (f" with labels {labels}" if labels else "")
                 + f"; recorded series: {known}"
             )
-        value: Optional[float]
-        if fn == "rate":
-            assert window is not None
-            value = self.rate(name, window, labels=labels, now=now)
-        elif fn == "delta":
-            assert window is not None
-            value = self.delta(name, window, labels=labels, now=now)
+        if fn == "latest":
+            value = self.latest(name, labels=labels)
         elif fn == "quantile":
             assert q is not None and window is not None
-            value = self.quantile_over_time(
-                q, name, window, labels=labels, now=now
-            )
+            value = self.quantile_over_time(q, name, window, labels, now)
         else:
-            value = self.latest(name, labels=labels)
-        series = [
-            {
-                "labels": series_labels,
-                "samples": [
-                    [t, v] for t, v in ring.samples(range_s=window, now=now)
-                ],
-            }
-            for series_labels, ring in matched
-        ]
+            assert window is not None
+            evaluate = self.rate if fn == "rate" else self.delta
+            value = evaluate(name, window, labels=labels, now=now)
+        with self._lock:
+            series = [
+                {
+                    "labels": series_labels,
+                    "samples": [
+                        [t, v] for t, v in zip(ring.times[anchor:end + 1],
+                                               ring.values[anchor:end + 1])
+                    ],
+                }
+                for series_labels, ring, anchor, end in self._windows(
+                    lookup, labels, math.inf if window is None else window,
+                    now,
+                )
+            ]
         return {
             "expr": expr,
             "fn": fn,

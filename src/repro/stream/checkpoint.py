@@ -39,7 +39,7 @@ import tokenize
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +91,34 @@ def checkpoint_path(path) -> Path:
     if destination.suffix != ".npz":
         destination = destination.with_name(destination.name + ".npz")
     return destination
+
+
+def stored_path(path) -> Path:
+    """The file :func:`load_state` reads for ``path``.
+
+    The destination :func:`save_state` writes (``.npz`` appended when
+    missing) when that file exists, else ``path`` as given (a ``.bak``
+    sibling, say), so ``save_state("art", ...)`` then
+    ``load_state("art")`` name one file.
+    """
+    destination = checkpoint_path(path)
+    return destination if destination.is_file() else Path(path)
+
+
+def require_keys(state: Mapping[str, object], path, keys: Sequence[str],
+                 kind: str) -> None:
+    """Raise :class:`CheckpointCorrupt` naming the first key ``state`` lacks.
+
+    A valid archive of another kind (a stream checkpoint handed over
+    as a frozen profile, say) fails here with one line, not a
+    ``KeyError``.
+    """
+    for key in keys:
+        if key not in state:
+            raise CheckpointCorrupt(
+                stored_path(path),
+                f"missing key {key!r}: not a {kind} archive",
+            )
 
 
 def backup_path(path) -> Path:
@@ -177,6 +205,9 @@ def save_state(path, state: Mapping[str, object],
 def load_state(path) -> Dict[str, object]:
     """Read back and validate a checkpoint written by :func:`save_state`.
 
+    ``path`` resolves like :func:`save_state`'s (see
+    :func:`stored_path`), so a suffix-less name finds its ``.npz``.
+
     Every attempt that reaches validation bumps
     ``repro_checkpoint_loads_total``; every validation failure also
     bumps ``repro_checkpoint_corruptions_total`` (the
@@ -202,7 +233,7 @@ def load_state(path) -> Dict[str, object]:
 
 
 def _load_state_validated(path) -> Dict[str, object]:
-    path = Path(path)
+    path = stored_path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
     state: Dict[str, object] = {}

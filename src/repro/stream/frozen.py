@@ -32,7 +32,7 @@ from repro.core.rca import reference_rsca
 from repro.ml.compiled import CompiledForest, FusedProfileKernel
 from repro.ml.forest import RandomForestClassifier
 from repro.relia.errors import CheckpointCorrupt
-from repro.stream.checkpoint import load_state, save_state
+from repro.stream.checkpoint import load_state, require_keys, save_state
 from repro.utils.checks import check_matrix
 
 #: Forest constructor arguments captured in the artifact.
@@ -43,6 +43,11 @@ _FOREST_PARAMS = (
     "max_features",
     "bootstrap",
     "random_state",
+)
+
+#: Keys every artifact holds besides its ``compiled_*`` arrays.
+_ARCHIVE_KEYS = (
+    "features", "labels", "antenna_ids", "clusters", "centroids", "meta",
 )
 
 
@@ -215,13 +220,15 @@ class FrozenProfile:
 
         Raises:
             CheckpointCorrupt: when the archive fails validation (see
-                :func:`~repro.stream.checkpoint.load_state`), or its
+                :func:`~repro.stream.checkpoint.load_state`), is a valid
+                archive of another kind (a key is missing), or its
                 stored kernel is absent or differs from the refit
                 forest's, as in an archive frozen by a version that grew
                 its trees differently; re-freeze it from the profile.
             FileNotFoundError: when no file exists at ``path``.
         """
         state = load_state(path)
+        require_keys(state, path, _ARCHIVE_KEYS, "frozen profile")
         features = np.asarray(state["features"], dtype=float)
         labels = np.asarray(state["labels"], dtype=int)
         service_totals = state.get("service_totals")

@@ -33,7 +33,6 @@ from repro.stream.accumulators import sorted_lookup
 from repro.stream.batch import HourlyBatch
 from repro.relia.faults import fault_point
 from repro.stream.checkpoint import (
-    checkpoint_path,
     load_state,
     load_state_with_rollback,
     merge_namespaces,
@@ -332,7 +331,7 @@ class StreamingProfiler:
                 _log.warning("checkpoint_restored_from_backup",
                              path=str(path))
         else:
-            state = load_state(checkpoint_path(path))
+            state = load_state(path)
         totals = IncrementalRSCA.from_state(split_namespace(state, "totals"))
         if totals.service_names != tuple(frozen.service_names):
             raise ValueError(

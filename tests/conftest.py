@@ -125,3 +125,9 @@ class SLOCounts:
     def update(self, good: float, total: float) -> None:
         self._good.inc(good - self._good.value)
         self._total.inc(total - self._total.value)
+
+
+def tsdb_history(tsdb, name):
+    """Every recorded ``(t, value)`` sample of the one series ``name``."""
+    [series] = tsdb.query(name)["series"]
+    return [tuple(sample) for sample in series["samples"]]

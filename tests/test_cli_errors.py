@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datagen.dataset import generate_dataset
+from repro.datagen.scenarios import scaled_specs
+from repro.stream import FrozenProfile
+from repro.stream.checkpoint import save_state
 
 from tests.conftest import build_frozen_profile
 
@@ -100,3 +104,28 @@ class TestArchiveErrors:
         assert main(["profile", "--dataset", str(path)]) == 2
         assert self.error_line(capsys) == (
             f"error: dataset {path} does not exist")
+
+    @pytest.mark.parametrize("argv,key,kind", [
+        (["serve", "--frozen"], "features", "frozen profile"),
+        (["validate", "--dataset"], "totals", "dataset"),
+    ])
+    def test_archive_of_another_kind(self, tmp_path, capsys, argv, key,
+                                     kind):
+        # A valid checkpoint that is not a frozen profile or a dataset.
+        path = tmp_path / "other.npz"
+        save_state(path, {"x": 1})
+        assert main(argv + [str(path)]) == 2
+        assert self.error_line(capsys) == (
+            f"error: corrupt checkpoint {path}: "
+            f"missing key {key!r}: not a {kind} archive")
+
+    def test_suffixless_name_round_trips(self, tmp_path, capsys):
+        # save() appends .npz to a bare name; load() and the CLI's
+        # existence check find the same file under that name.
+        frozen, _ = build_frozen_profile()
+        frozen.save(tmp_path / "art")
+        loaded = FrozenProfile.load(tmp_path / "art")
+        np.testing.assert_array_equal(loaded.labels, frozen.labels)
+        generate_dataset(2, scaled_specs(0.02)).save(tmp_path / "data")
+        assert main(["validate", "--dataset", str(tmp_path / "data")]) != 2
+        assert "error" not in capsys.readouterr().err

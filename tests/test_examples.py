@@ -17,6 +17,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script", [
     "quickstart.py", "custom_deployment.py", "serving_queries.py",
     "resilience_tour.py", "observability_tour.py", "streaming_ingestion.py",
+    "data_ingestion.py",
 ])
 def test_example_runs(script):
     env = dict(os.environ)

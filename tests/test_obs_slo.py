@@ -1,5 +1,7 @@
 """Tests for the SLO engine: selectors, windows, burn rates, budgets."""
 
+import collections
+import json
 import math
 import threading
 
@@ -8,7 +10,7 @@ import pytest
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.obs.tsdb import MetricsTSDB
-from tests.conftest import SLOCounts
+from tests.conftest import SLOCounts, tsdb_history
 
 
 def make_slo(good=SLOCounts.GOOD, total=SLOCounts.TOTAL, objective=0.99,
@@ -34,7 +36,7 @@ class TestEventSources:
         family.labels(x="a").inc(2)
         family.labels(x="b").inc(3)
         engine.tick(now=1.0)
-        assert engine._window_delta("slo", 60.0, now=1.0) == (5.0, 5.0)
+        assert engine._events("slo", 60.0, now=1.0) == (5.0, 5.0)
 
     def test_missing_family_reads_zero(self):
         engine = make_engine([make_slo(
@@ -43,7 +45,7 @@ class TestEventSources:
         )])
         engine.tick(now=0.0)
         engine.tick(now=1.0)
-        assert engine._window_delta("slo", 60.0, now=1.0) == (0.0, 0.0)
+        assert engine._events("slo", 60.0, now=1.0) == (0.0, 0.0)
         assert engine.compliance("slo", now=1.0) == 1.0
 
     def test_difference_source_clamped_at_zero(self):
@@ -58,10 +60,10 @@ class TestEventSources:
         total.inc(3)
         bad.inc(1)
         engine.tick(now=1.0)
-        assert engine._window_delta("slo", 60.0, now=1.0) == (2.0, 3.0)
+        assert engine._events("slo", 60.0, now=1.0) == (2.0, 3.0)
         bad.inc(9)  # bad outruns total: the good reading clamps at 0
         engine.tick(now=2.0)
-        assert engine._window_delta("slo", 60.0, now=2.0) == (0.0, 3.0)
+        assert engine._events("slo", 60.0, now=2.0) == (0.0, 3.0)
 
     def test_histogram_sources_align_to_bucket_bound(self):
         # The latency SLO's threshold snaps up to a request-latency
@@ -85,7 +87,7 @@ class TestEventSources:
         engine.tick(now=0.0)
         registry.counter("c_total").inc()
         engine.tick(now=1.0)
-        assert engine._window_delta("slo", 60.0, now=1.0) == (0.0, 0.0)
+        assert engine._events("slo", 60.0, now=1.0) == (0.0, 0.0)
 
     def test_histogram_selector_counts_bucket_over_count(self):
         registry = MetricsRegistry()
@@ -97,7 +99,7 @@ class TestEventSources:
         for value in (0.05, 0.2, 0.5, 2.0):
             hist.observe(value)
         engine.tick(now=1.0)
-        assert engine._window_delta("slo", 60.0, now=1.0) == (2.0, 4.0)
+        assert engine._events("slo", 60.0, now=1.0) == (2.0, 4.0)
 
 
 class TestSLOValidation:
@@ -172,10 +174,10 @@ class TestWindowing:
         engine.tick(now=0.0)
         SLOCounts(registry).update(good=90.0, total=100.0)
         engine.tick(now=5.0)
-        assert engine._window_delta("slo", 60.0, now=5.0) == (90.0, 100.0)
+        assert engine._events("slo", 60.0, now=5.0) == (90.0, 100.0)
         assert engine.compliance("slo", 60.0, now=5.0) == pytest.approx(0.9)
         assert engine.burn_rate("slo", 60.0, now=5.0) == pytest.approx(10.0)
-        assert engine.tsdb.select(SLOCounts.TOTAL)[0][1].samples() == [
+        assert tsdb_history(engine.tsdb, SLOCounts.TOTAL) == [
             (0.0, 0.0), (5.0, 100.0),
         ]
 
@@ -203,7 +205,7 @@ class TestWindowing:
 
     def test_concurrent_implicit_ticks_never_collide(self):
         registry = MetricsRegistry()
-        SLOCounts(registry)
+        SLOCounts(registry).update(good=1.0, total=1.0)
         clock = {"t": 0.0}
         lock = threading.Lock()
 
@@ -229,7 +231,8 @@ class TestWindowing:
             thread.join(30.0)
         assert not errors, errors
         assert engine.n_samples("slo") == 8 * 200
-        times = [t for t, _ in engine.tsdb.samples(SLOCounts.TOTAL)]
+        times = [t for t, _ in tsdb_history(engine.tsdb, SLOCounts.TOTAL)]
+        assert len(times) == 8 * 200
         assert times == sorted(times)
 
     def test_burn_rate_scales_with_error_fraction(self):
@@ -268,8 +271,33 @@ class TestWindowing:
         assert engine.n_samples("slo") == 5
         # The SLO's series keep the engine's depth, the rest the TSDB's.
         for name in (SLOCounts.GOOD, SLOCounts.TOTAL):
-            assert len(engine.tsdb.samples(name)) == 5
-        assert len(engine.tsdb.samples("other_total")) == 8
+            assert len(tsdb_history(engine.tsdb, name)) == 5
+        assert len(tsdb_history(engine.tsdb, "other_total")) == 8
+
+
+class TestOneRead:
+    def test_tick_and_report_read_each_window_once(self, monkeypatch):
+        registry = MetricsRegistry()
+        state = SLOCounts(registry)
+        engine = make_engine([make_slo()], registry)
+        engine.tick(now=0.0)
+        state.update(good=9.0, total=10.0)
+        lookups = collections.Counter()
+        select = MetricsTSDB.select
+
+        def counted(tsdb, name, labels=None):
+            lookups[name] += 1
+            return select(tsdb, name, labels)
+
+        monkeypatch.setattr(MetricsTSDB, "select", counted)
+        engine.tick(now=1.0)
+        # Compliance and budget both come from one read of the window.
+        assert lookups == {SLOCounts.GOOD: 1, SLOCounts.TOTAL: 1}
+        lookups.clear()
+        [entry] = engine.report(now=1.0)["slos"]
+        assert lookups == {SLOCounts.GOOD: 1, SLOCounts.TOTAL: 1}
+        assert entry["compliance"] == pytest.approx(0.9)
+        assert entry["error_budget_remaining"] == pytest.approx(-9.0)
 
 
 class TestGaugesAndReport:
@@ -295,11 +323,11 @@ class TestGaugesAndReport:
         SLOCounts(registry).update(good=1.0, total=1.0)
         engine = make_engine([make_slo()], registry)
         engine.tick(now=0.0)
-        report = engine.report(now=0.0, burn_windows=(60.0,))
+        report = engine.report(now=0.0)
+        assert json.loads(json.dumps(report)) == report
         [entry] = report["slos"]
         assert entry["name"] == "slo"
         assert entry["compliance"] == 1.0
-        assert entry["burn_rates"] == {"60s": 0.0}
         assert entry["n_samples"] == 1
 
     def test_get_unknown_raises(self):
@@ -328,10 +356,10 @@ class TestDefaultSLOs:
         registry.counter("repro_checkpoint_loads_total").inc(10)
         registry.counter("repro_checkpoint_corruptions_total").inc(1)
         engine.tick(now=1.0)
-        assert engine._window_delta(
+        assert engine._events(
             "serve-availability", 60.0, now=1.0
         ) == (95.0, 100.0)
-        assert engine._window_delta(
+        assert engine._events(
             "checkpoint-integrity", 60.0, now=1.0
         ) == (9.0, 10.0)
 
@@ -346,14 +374,14 @@ class TestDefaultSLOs:
         registry.counter("repro_checkpoint_loads_total").inc(8)
         registry.counter("repro_checkpoint_corruptions_total").inc(5)
         engine.tick(now=1.0)
-        assert engine._window_delta(
+        assert engine._events(
             "checkpoint-integrity", 60.0, now=1.0
         ) == (3.0, 8.0)
 
     def test_infinite_burn_guard(self):
-        # An objective of exactly 1.0 is rejected, so the inf branch in
-        # burn_rate is only reachable via a pathological source; assert
-        # the finite path instead.
+        # An objective of exactly 1.0 is rejected, so the allowed error
+        # fraction is positive and every burn rate is finite, even over
+        # a window of nothing but errors.
         registry = MetricsRegistry()
         state = SLOCounts(registry)
         state.update(good=0.0, total=100.0)

@@ -1,4 +1,4 @@
-"""Metrics TSDB: SeriesRing mechanics, scrape ingestion, the mini
+"""Metrics TSDB: the window rule, scrape ingestion, the mini
 query language behind ``GET /query``, and the one history a serve node
 records per scrape."""
 
@@ -16,7 +16,7 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine, default_slos
 from repro.obs.tsdb import MetricsTSDB, QueryError, SeriesRing, sparkline
 from repro.serve import ProfileService, ServeMetrics, make_server
-from tests.conftest import build_frozen_profile
+from tests.conftest import build_frozen_profile, tsdb_history
 
 
 class FakeClock:
@@ -32,83 +32,90 @@ class FakeClock:
 
 
 class TestSeriesRing:
+    """The window rule each query reads a series' ring by."""
+
+    @staticmethod
+    def gauge_history(samples, capacity=64):
+        """A TSDB whose gauge ``demo`` recorded ``(t, value)`` samples."""
+        registry = MetricsRegistry()
+        tsdb = MetricsTSDB(registry, capacity=capacity)
+        gauge = registry.gauge("demo", "demo")
+        for t, value in samples:
+            gauge.set(value)
+            tsdb.record(now=t)
+        return tsdb
+
+    @staticmethod
+    def window(tsdb, range_s, now):
+        """The ``delta`` query's samples, anchor to end."""
+        result = tsdb.query(f"delta(demo[{range_s}s])", now=now)
+        return [tuple(sample) for sample in result["series"][0]["samples"]]
+
     def test_capacity_floor(self):
         with pytest.raises(ValueError, match="capacity"):
             SeriesRing(capacity=1)
 
     def test_append_evicts_oldest(self):
-        ring = SeriesRing(capacity=3)
-        for i in range(5):
-            ring.append(float(i), float(i * 10))
+        tsdb = self.gauge_history(
+            [(float(i), float(i * 10)) for i in range(5)], capacity=3
+        )
+        [(_, ring)] = tsdb.select("demo")
         assert len(ring) == 3
-        assert ring.samples() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-
-    def test_backwards_clock_clamped(self):
-        ring = SeriesRing(capacity=4)
-        ring.append(10.0, 1.0)
-        used = ring.append(5.0, 2.0)
-        assert used == 10.0
-        assert [t for t, _ in ring.samples()] == [10.0, 10.0]
+        assert tsdb_history(tsdb, "demo") == [
+            (2.0, 20.0), (3.0, 30.0), (4.0, 40.0),
+        ]
 
     def test_latest_and_empty(self):
-        ring = SeriesRing(capacity=2)
-        assert ring.latest() is None
-        assert ring.samples() == []
-        assert ring.bounds(10.0) == (None, None)
-        ring.append(1.0, 7.0)
-        assert ring.latest() == (1.0, 7.0)
+        registry = MetricsRegistry()
+        tsdb = MetricsTSDB(registry)
+        assert tsdb.latest("demo") is None
+        assert tsdb.select("demo") == []
+        assert tsdb.delta("demo", 10.0) is None
+        registry.gauge("demo", "demo").set(7.0)
+        tsdb.record(now=1.0)
+        assert tsdb.latest("demo") == 7.0
+        assert tsdb_history(tsdb, "demo") == [(1.0, 7.0)]
 
     def test_bounds_anchor_and_end(self):
-        ring = SeriesRing(capacity=10)
-        for t in (0.0, 10.0, 20.0, 30.0):
-            ring.append(t, t)
-        anchor, end = ring.bounds(15.0, now=30.0)
+        tsdb = self.gauge_history([(t, t) for t in (0.0, 10.0, 20.0, 30.0)])
+        samples = self.window(tsdb, 15.0, now=30.0)
         # latest sample at or before now - 15 = 15 → (10.0, 10.0)
-        assert anchor == (10.0, 10.0)
-        assert end == (30.0, 30.0)
+        assert samples[0] == (10.0, 10.0)
+        assert samples[-1] == (30.0, 30.0)
 
     def test_bounds_short_history_uses_oldest(self):
-        ring = SeriesRing(capacity=10)
-        ring.append(20.0, 5.0)
-        ring.append(25.0, 8.0)
-        anchor, end = ring.bounds(100.0, now=25.0)
-        assert anchor == (20.0, 5.0)
-        assert end == (25.0, 8.0)
+        tsdb = self.gauge_history([(20.0, 5.0), (25.0, 8.0)])
+        samples = self.window(tsdb, 100.0, now=25.0)
+        assert samples[0] == (20.0, 5.0)
+        assert samples[-1] == (25.0, 8.0)
 
     def test_bounds_everything_in_future(self):
-        ring = SeriesRing(capacity=4)
-        ring.append(50.0, 1.0)
-        assert ring.bounds(10.0, now=40.0) == (None, None)
+        tsdb = self.gauge_history([(50.0, 1.0)])
+        assert tsdb.delta("demo", 10.0, now=40.0) is None
+        assert tsdb.query("delta(demo[10s])", now=40.0)["series"] == []
 
     def test_delta(self):
-        ring = SeriesRing(capacity=10)
-        ring.append(0.0, 100.0)
-        ring.append(30.0, 130.0)
-        assert ring.delta(60.0, now=30.0) == 30.0
-        assert SeriesRing(capacity=2).delta(60.0) == 0.0
+        tsdb = self.gauge_history([(0.0, 100.0), (30.0, 130.0)])
+        assert tsdb.delta("demo", 60.0, now=30.0) == 30.0
+        assert MetricsTSDB(MetricsRegistry()).delta("demo", 60.0) is None
 
     def test_increase_monotonic(self):
-        ring = SeriesRing(capacity=10)
-        for t, v in [(0.0, 0.0), (10.0, 4.0), (20.0, 9.0)]:
-            ring.append(t, v)
-        total, elapsed = ring.increase(60.0, now=20.0)
-        assert total == 9.0
-        assert elapsed == 20.0
-
-    def test_increase_counter_reset(self):
-        # Counter climbs to 10, process restarts (drops to 2), climbs to 5:
-        # visible increase = 10 + 2 + 3 = 15, not 5 - 0.
-        ring = SeriesRing(capacity=10)
-        for t, v in [(0.0, 0.0), (10.0, 10.0), (20.0, 2.0), (30.0, 5.0)]:
-            ring.append(t, v)
-        total, elapsed = ring.increase(60.0, now=30.0)
-        assert total == 15.0
-        assert elapsed == 30.0
+        registry = MetricsRegistry()
+        tsdb = MetricsTSDB(registry)
+        counter = registry.counter("demo_total", "demo")
+        for t, amount in [(0.0, 0.0), (10.0, 4.0), (20.0, 5.0)]:
+            counter.inc(amount)
+            tsdb.record(now=t)
+        assert tsdb.delta("demo_total", 60.0, now=20.0) == 9.0
+        assert tsdb.rate("demo_total", 60.0, now=20.0) == 9.0 / 20.0
 
     def test_increase_needs_two_samples(self):
-        ring = SeriesRing(capacity=4)
-        ring.append(0.0, 3.0)
-        assert ring.increase(60.0, now=0.0) == (0.0, 0.0)
+        registry = MetricsRegistry()
+        tsdb = MetricsTSDB(registry)
+        registry.counter("demo_total", "demo").inc(3)
+        tsdb.record(now=0.0)
+        assert tsdb.rate("demo_total", 60.0, now=0.0) is None
+        assert tsdb.delta("demo_total", 60.0, now=0.0) == 0.0
 
 
 @pytest.fixture()
@@ -204,13 +211,13 @@ class TestOrdering:
         )
         registry.gauge("demo_late", "demo").set(3.0)
         tsdb.record(now=10.0)
-        assert tsdb.samples("demo_total") == [(0.0, 0.0), (10.0, 4.0)]
+        assert tsdb_history(tsdb, "demo_total") == [(0.0, 0.0), (10.0, 4.0)]
         assert tsdb.delta("demo_seconds_count", 60.0, now=10.0) == 1.0
         assert tsdb.delta("demo_seconds_bucket", 60.0,
                           labels={"le": "1"}, now=10.0) == 1.0
         assert tsdb.rate("demo_total", 60.0, now=10.0) == pytest.approx(0.4)
         # A gauge is a level, not a count: no zero is made up for it.
-        assert tsdb.samples("demo_late") == [(10.0, 3.0)]
+        assert tsdb_history(tsdb, "demo_late") == [(10.0, 3.0)]
 
     def test_retain_deepens_matching_series_only(self, rig):
         registry, _, tsdb = rig
@@ -295,6 +302,31 @@ class TestQueries:
         )
         elapsed = samples[-1][0] - samples[0][0]
         assert result["value"] == pytest.approx(increase / elapsed)
+
+    def test_rate_anchors_like_delta(self, rig):
+        registry, _, tsdb = rig
+        counter = registry.counter("demo_total", "demo")
+        for t, amount in [(0.0, 1.0), (10.0, 2.0), (20.0, 7.0), (30.0, 1.0)]:
+            counter.inc(amount)
+            tsdb.record(now=t)
+        # A 15 s window at t=30 anchors on the t=10 sample (3.0), not on
+        # the first sample inside the window (t=20, 10.0).
+        assert tsdb.delta("demo_total", 15.0, now=30.0) == 8.0
+        assert tsdb.rate("demo_total", 15.0, now=30.0) == 8.0 / 20.0
+
+    def test_query_rate_is_end_minus_anchor_over_its_samples(self, rig):
+        registry, _, tsdb = rig
+        counter = registry.counter("demo_total", "demo")
+        for t, amount in [(0.0, 1.0), (10.0, 2.0), (20.0, 7.0), (30.0, 1.0)]:
+            counter.inc(amount)
+            tsdb.record(now=t)
+        result = tsdb.query("rate(demo_total[15s])", now=30.0)
+        [series] = result["series"]
+        (t_first, first), (t_last, last) = (
+            series["samples"][0], series["samples"][-1]
+        )
+        assert (t_first, t_last) == (10.0, 30.0)
+        assert result["value"] == (last - first) / (t_last - t_first)
 
     def test_query_label_selector(self, rig):
         registry, _, tsdb = rig

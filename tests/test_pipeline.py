@@ -71,31 +71,16 @@ class TestAlignment:
     def test_aligned_to_is_stable_when_already_aligned(
         self, small_profile, small_dataset
     ):
-        again = small_profile.aligned_to(small_dataset.archetypes())
+        again = ICNProfiler(n_clusters=9, surrogate_trees=30).fit(
+            small_dataset, align_to=small_profile.labels)
         np.testing.assert_array_equal(again.labels, small_profile.labels)
 
     def test_alignment_improves_agreement(self, small_dataset):
         profiler = ICNProfiler(n_clusters=9, surrogate_trees=10)
+        arch = small_dataset.archetypes()
         raw = profiler.fit(small_dataset)
-        aligned = raw.aligned_to(small_dataset.archetypes())
-        arch = small_dataset.archetypes()
+        aligned = profiler.fit(small_dataset, align_to=arch)
         assert accuracy(aligned.labels, arch) >= accuracy(raw.labels, arch)
-
-    def test_fit_align_to_equals_aligned_to(self, small_dataset):
-        profiler = ICNProfiler(n_clusters=9, surrogate_trees=10)
-        arch = small_dataset.archetypes()
-        once = profiler.fit(small_dataset, align_to=arch)
-        twice = profiler.fit(small_dataset).aligned_to(arch)
-        np.testing.assert_array_equal(once.labels, twice.labels)
-        assert once.surrogate_accuracy == twice.surrogate_accuracy
-        assert np.array_equal(once.surrogate.classes_, twice.surrogate.classes_)
-        assert len(once.surrogate.trees_) == len(twice.surrogate.trees_)
-        for a, b in zip(once.surrogate.trees_, twice.surrogate.trees_):
-            assert np.array_equal(a.classes_, b.classes_)
-            for name in ("children_left", "children_right", "feature",
-                         "threshold", "value", "n_node_samples"):
-                assert np.array_equal(getattr(a.tree_, name),
-                                      getattr(b.tree_, name)), name
 
     def test_fit_align_to_fits_the_forest_once(self, small_dataset):
         from repro.obs import MetricsRegistry, set_registry
@@ -111,18 +96,6 @@ class TestAlignment:
         assert stages.labels(stage="pipeline.surrogate").count == 1
         assert stages.labels(stage="pipeline.align").count == 0
         assert stages.labels(stage="pipeline.cluster").count == 1
-
-    def test_aligned_to_times_its_refit(self, small_profile, small_dataset):
-        from repro.obs import MetricsRegistry, set_registry
-
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            small_profile.aligned_to(small_dataset.archetypes())
-        finally:
-            set_registry(previous)
-        stages = registry.get("repro_stage_seconds")
-        assert stages.labels(stage="pipeline.align").count == 1
 
 
 class TestEnvironmentFindings:
